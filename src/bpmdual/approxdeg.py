@@ -33,6 +33,7 @@ import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -52,6 +53,8 @@ DEFAULT_TOLERANCE = Fraction(1, 10**12)
 
 _EXCHANGE_MAX_ITER = 4000
 _LOG_MARGIN = 1e-6  # natural-log slack under which verdicts escalate to exact
+_WARM_START_MAX = 192  # farthest exchanged degree a probe adapts instead of reseeding
+_MEMO_SIZE = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -112,26 +115,17 @@ def _log2_fraction(fr: Fraction) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Node sets: exact values, float bounds, placements
+# Node sets: exact values and the Chebyshev seed
 
 
 def _abs_denominators(xs: Sequence[int]) -> list[int]:
     """|prod_{j != i} (x_i - x_j)| for each node, as exact integers."""
-    out = []
-    for i, xi in enumerate(xs):
-        prod = 1
-        for j, xj in enumerate(xs):
-            if j != i:
-                prod *= xi - xj
-        out.append(abs(prod))
-    return out
+    return [abs(math.prod([xi - xj for xj in xs if xj != xi])) for xi in xs]
 
 
 def _value_exact(m: int, xs: Sequence[int], abs_d: Sequence[int]) -> Fraction:
     """V(X): value at m of the alternating interpolant, exact and positive."""
-    omega = 1
-    for xj in xs:
-        omega *= m - xj
+    omega = math.prod([m - xj for xj in xs])
     return sum(Fraction(omega // (m - xi), d) for xi, d in zip(xs, abs_d))
 
 
@@ -142,23 +136,9 @@ def _q_exact(xs: Sequence[int], abs_d: Sequence[int], sigma_last: int, y: int) -
     sorted nodes, sign(prod_{j != i}(x_i - x_j)) also alternates, so each
     term is sigma_last * omega(y) / ((y - x_i) |D_i|).
     """
-    omega = 1
-    for xj in xs:
-        omega *= y - xj
+    omega = math.prod([y - xj for xj in xs])
     total = sum(Fraction(omega // (y - xi), d) for xi, d in zip(xs, abs_d))
     return sigma_last * total
-
-
-def _logv_float(m: int, xs: np.ndarray) -> float:
-    """Natural log of V(X); all terms are positive, so floats are reliable."""
-    xs = np.asarray(xs, dtype=np.float64)
-    log_m = np.log(m - xs)
-    diff = np.abs(xs[:, None] - xs[None, :])
-    np.fill_diagonal(diff, 1.0)
-    log_d = np.log(diff).sum(axis=1)
-    terms = log_m.sum() - log_m - log_d
-    peak = terms.max()
-    return float(peak + np.log(np.exp(terms - peak).sum()))
 
 
 def _chebyshev_int_points(right_end: int, count: int) -> list[int]:
@@ -180,144 +160,6 @@ def _chebyshev_int_points(right_end: int, count: int) -> list[int]:
     return xs
 
 
-def _structured_set(m: int, d: int, run: int) -> list[int]:
-    """Right-anchored run of `run` consecutive points plus a Chebyshev spread."""
-    left_count = d + 1 - run
-    run_points = list(range(m - run, m))
-    if left_count == 0:
-        return run_points
-    return _chebyshev_int_points(m - 1 - run, left_count) + run_points
-
-
-def _removal_set(m: int, d: int, a: float, b: float) -> list[int] | None:
-    """Keep the whole grid except m-1-d points spread evenly across [a, b].
-
-    Matches the observed optimum shape for d close to m: dense runs at both
-    ends with isolated removals through a middle band.
-    """
-    r = m - 1 - d
-    if r <= 0:
-        return list(range(m))[: d + 1]
-    removed: set[int] = set()
-    for v in np.linspace(a, b, r):
-        p = int(round(v))
-        while p in removed:
-            p += 1
-        if not 0 <= p <= m - 1:
-            return None
-        removed.add(p)
-    if len(removed) != r:
-        return None
-    return [x for x in range(m) if x not in removed]
-
-
-def _scan_families(m: int, d: int, refine: int = 8) -> tuple[float, list[int]]:
-    """Best float log V over both placement families."""
-    best_log, best = math.inf, None
-    step = max(1, (d + 1) // 32)
-    for run in list(range(0, d + 2, step)) + [d, d + 1]:
-        if not 0 <= run <= d + 1 or (d + 1 - run) > (m - run):
-            continue
-        xs = _structured_set(m, d, run)
-        lv = _logv_float(m, np.array(xs))
-        if lv < best_log:
-            best_log, best = lv, xs
-    r = m - 1 - d
-    if r > 0:
-        lo_spread = 2.0 * (r - 1) / m if r > 1 else 0.0
-        for a_frac in np.linspace(0.02, 0.8, refine):
-            for width in np.linspace(max(lo_spread, 0.05), 0.96 - a_frac, refine):
-                xs = _removal_set(m, d, a_frac * m, (a_frac + width) * m)
-                if xs is None or len(xs) != d + 1:
-                    continue
-                lv = _logv_float(m, np.array(xs))
-                if lv < best_log:
-                    best_log, best = lv, xs
-    return best_log, best
-
-
-def _polish(
-    m: int, xs: list[int], sweeps: int = 3, window: int = 0
-) -> tuple[float, list[int]]:
-    """Single-point relocation descent on ln V(X), float log domain."""
-    arr = np.array(sorted(xs), dtype=np.int64)
-    count = len(arr)
-    if window <= 0:
-        window = 24 if m <= 512 else 40
-    xf = arr.astype(np.float64)
-    diff = np.abs(xf[:, None] - xf[None, :])
-    np.fill_diagonal(diff, 1.0)
-    log_c = np.log(diff).sum(axis=1)  # sum_j log|x_i - x_j| per node
-    log_m = np.log(m - xf)
-    for _ in range(sweeps):
-        improved = False
-        for p in range(count):
-            xp = int(arr[p])
-            occupied = set(arr.tolist())
-            cands = np.array(
-                [
-                    y
-                    for y in range(max(0, xp - window), min(m - 1, xp + window) + 1)
-                    if y == xp or y not in occupied
-                ],
-                dtype=np.float64,
-            )
-            others = np.delete(xf, p)
-            log_m_others = np.delete(log_m, p)
-            base_c = np.delete(log_c, p) - np.log(np.abs(others - xp))
-            sum_log_m_others = log_m_others.sum()
-            # candidate-by-node matrices; the y == xp row reproduces the
-            # current configuration, so the baseline is always included
-            dist = np.abs(cands[:, None] - others[None, :])
-            log_dist = np.log(dist)
-            term_others = (
-                sum_log_m_others
-                + np.log(m - cands)[:, None]
-                - log_m_others[None, :]
-                - base_c[None, :]
-                - log_dist
-            )
-            term_own = sum_log_m_others - log_dist.sum(axis=1)
-            all_terms = np.concatenate([term_others, term_own[:, None]], axis=1)
-            peak = all_terms.max(axis=1)
-            lv = peak + np.log(np.exp(all_terms - peak[:, None]).sum(axis=1))
-            best_idx = int(np.argmin(lv))
-            best_y = int(cands[best_idx])
-            current_lv = lv[np.nonzero(cands == xp)[0][0]]
-            if best_y != xp and lv[best_idx] < current_lv - 1e-12:
-                improved = True
-                yf = float(best_y)
-                mask = np.arange(count) != p
-                log_c[mask] += np.log(np.abs(xf[mask] - yf)) - np.log(
-                    np.abs(xf[mask] - xp)
-                )
-                arr[p] = best_y
-                xf[p] = yf
-                log_c[p] = np.log(np.abs(np.delete(xf, p) - yf)).sum()
-                log_m[p] = math.log(m - best_y)
-        if not improved:
-            break
-    out = sorted(int(v) for v in arr)
-    return _logv_float(m, np.array(out)), out
-
-
-def _polish_sweeps(m: int) -> int:
-    # The relocation descent stops on its own at a fixpoint; the cap only
-    # bounds the cost for large grids where each sweep is expensive.  Above
-    # the exchange cap the float descent does the heavy lifting anyway.
-    if m <= 256:
-        return 4
-    return 12 if m <= 2048 else 3
-
-
-def _heuristic_minimum(m: int, d: int, polish_sweeps: int = 3) -> tuple[float, list[int]]:
-    """Best found upper bound on ln nu*(d): family scan plus local polish."""
-    best_log, best = _scan_families(m, d)
-    if polish_sweeps:
-        return _polish(m, best, sweeps=polish_sweeps)
-    return best_log, best
-
-
 # ---------------------------------------------------------------------------
 # The exchange engine (exact-certified for m <= EXCHANGE_M_MAX)
 
@@ -337,10 +179,6 @@ class _Exchange:
         self._abs_d: list[int] | None = None
         self._swaps_since_refresh = 0
         self._refresh_logs()
-
-    @property
-    def d(self) -> int:
-        return len(self.xs) - 1
 
     @property
     def abs_d(self) -> list[int]:
@@ -400,18 +238,20 @@ class _Exchange:
 
     def find_violations(
         self, float_only: bool = False, stride: int = 1
-    ) -> list[tuple[int, int]]:
-        """(grid point, sign of q) pairs with |q| > 1, strongest first.
+    ) -> tuple[list[tuple[int, int]], float]:
+        """(grid point, sign of q) pairs with |q| > 1, strongest first, and
+        an upper bound on ln max |q| over the scanned points (at least 0,
+        since |q| = 1 on the nodes).
 
         Points whose cancellation exceeds float resolution are settled in
         exact arithmetic, but only once no float-confirmed violation is
         left: they matter solely for the final optimality certificate.
-        With float_only the exact escalation is skipped entirely (used to
-        tighten upper bounds where certification is out of budget).
+        With float_only the exact escalation is skipped entirely (used
+        where certification is out of budget).
         """
         free, q_scaled, err_scaled, peak = self._float_scan(stride)
         if free.size == 0:
-            return []
+            return [], 0.0
         # |q| > 1 iff log|q_scaled| + peak > 0; err covers float rounding.
         with np.errstate(divide="ignore"):
             log_hi = np.log(np.abs(q_scaled) + err_scaled) + peak
@@ -435,7 +275,7 @@ class _Exchange:
                         )
                     )
         candidates.sort(reverse=True)
-        return [(y, s) for _, y, s in candidates]
+        return [(y, s) for _, y, s in candidates], max(float(log_hi.max()), 0.0)
 
     def _replace(self, pos: int, y: int) -> None:
         """Swap node at index pos for grid point y; float-only bookkeeping."""
@@ -467,25 +307,23 @@ class _Exchange:
         """Exchange y (where sign(q(y)) = s) into the node set so that V
         strictly decreases.
 
-        Tries the alternation-preserving drop first, then every other
-        position; returns False if no swap with y lowers V.
+        Dropping the alternation neighbour whose sign matches s keeps the
+        data alternating, and then V falls by (|q(y)| - 1) |L_y(m)| > 0, so
+        for a fresh violation the first drop always succeeds.  The other
+        neighbour covers batch entries whose sign went stale; returns False
+        when neither lowers V.
         """
         before_log = self.logv()
         before_exact: Fraction | None = None
         pos = bisect_left(self.xs, y)
-        d = self.d
+        d = len(self.xs) - 1
         if 0 < pos <= d:
-            # neighbours alternate; drop the one whose sign matches q(y)
             sign_right = 1 if (d - pos) % 2 == 0 else -1
             order = [pos, pos - 1] if sign_right == s else [pos - 1, pos]
         elif pos == 0:
             order = [0, d] if s == (1 if d % 2 == 0 else -1) else [d, 0]
         else:
             order = [d, 0] if s == 1 else [0, d]
-        order += [i for i in range(d + 1) if i not in order]
-        if float_only:
-            # stale batch entries are cheap to skip; the next scan refreshes
-            order = order[:6]
         saved_xs = list(self.xs)
         saved_logs = self._term_logs.copy()
         for drop in order:
@@ -505,66 +343,34 @@ class _Exchange:
             self._term_logs = saved_logs.copy()
         return False
 
-
-_NU_EXACT: dict[tuple[int, int], tuple[tuple[int, ...], Fraction]] = {}
-_NU_UPPER_LOG: dict[tuple[int, int], float] = {}
-
-
-def _certified_optimum(
-    m: int, d: int, init: Sequence[int] | None = None
-) -> tuple[tuple[int, ...], Fraction]:
-    """Optimal node set and certified nu*(d) via exchange to optimality."""
-    key = (m, d)
-    if key in _NU_EXACT:
-        return _NU_EXACT[key]
-    if init is None:
-        init = _upper_log(m, d)[1]
-    engine = _Exchange(m, init)
-    for _ in range(_EXCHANGE_MAX_ITER):
-        violations = engine.find_violations()
-        if not violations:
-            result = (tuple(engine.xs), engine.value_exact())
-            _NU_EXACT[key] = result
-            return result
+    def exchange_batch(self, violations: list[tuple[int, int]], float_only: bool) -> bool:
+        """Swap in the violations of one scan, skipping entries gone stale;
+        True if V went down."""
+        node_set = set(self.xs)
         progressed = False
-        node_set = set(engine.xs)
-        for y, s in violations:
-            if y in node_set:
-                continue
-            if engine.swap_toward(y, s):
+        # float-only batches are capped: entries go stale as swaps land
+        for y, s in violations[: 256 if float_only else None]:
+            if y not in node_set and self.swap_toward(y, s, float_only):
                 progressed = True
-                node_set = set(engine.xs)
-        if not progressed:
-            # entries may be stale after earlier swaps in the batch; a stall
-            # is only real if the strongest one still violates
-            y0, _ = violations[0]
-            if y0 not in node_set and abs(_q_exact(engine.xs, engine.abs_d, 1, y0)) > 1:
-                raise NumericalFailure(
-                    f"exchange stalled at m={m}, d={d} (violation at {y0})"
-                )
-    raise NumericalFailure(f"exchange did not converge at m={m}, d={d}")
+                node_set = set(self.xs)
+        return progressed
 
 
 def _best_deletion(m: int, xs: list[int]) -> list[int]:
     """Node set minus the node whose removal raises V the least."""
-    xf = np.array(sorted(xs), dtype=np.float64)
-    count = len(xf)
+    out = sorted(xs)
+    xf = np.array(out, dtype=np.float64)
     log_m = np.log(m - xf)
     diff = np.abs(xf[:, None] - xf[None, :])
     np.fill_diagonal(diff, 1.0)
     log_diff = np.log(diff)
     terms = log_m.sum() - log_m - log_diff.sum(axis=1)
-    # removing node i shifts every other term by log|x_j - x_i| - log(m - x_i)
-    best_i, best_lv = 0, math.inf
-    for i in range(count):
-        shifted = terms + log_diff[:, i] - log_m[i]
-        shifted = np.delete(shifted, i)
-        peak = shifted.max()
-        lv = float(peak + np.log(np.exp(shifted - peak).sum()))
-        if lv < best_lv:
-            best_lv, best_i = lv, i
-    out = sorted(xs)
-    out.pop(best_i)
+    # removing node i shifts every other term j by log|x_j - x_i| - log(m - x_i)
+    shifted = terms[:, None] + log_diff - log_m[None, :]
+    np.fill_diagonal(shifted, -np.inf)
+    peak = shifted.max(axis=0)
+    logv = peak + np.log(np.exp(shifted - peak[None, :]).sum(axis=0))
+    out.pop(int(np.argmin(logv)))
     return out
 
 
@@ -572,22 +378,17 @@ def _adapt_set(m: int, xs: list[int], size: int) -> list[int]:
     """Resize a node set by greedy best insertions or deletions."""
     out = sorted(xs)
     while len(out) < size:
-        grown = _best_insertion(m, out)
-        if grown is None:
-            break
-        out = grown
+        out = _best_insertion(m, out)
     while len(out) > size:
         out = _best_deletion(m, out)
     return out
 
 
-def _best_insertion(m: int, xs: list[int]) -> list[int] | None:
-    """Node set plus the free grid point whose insertion minimizes V, or
-    None when the grid is saturated.  One O((m - |X|) |X|) float pass."""
+def _best_insertion(m: int, xs: list[int]) -> list[int]:
+    """Node set plus the free grid point whose insertion minimizes V (the
+    grid must have one).  One O((m - |X|) |X|) float pass."""
     xs_arr = np.array(sorted(xs), dtype=np.int64)
     free = np.setdiff1d(np.arange(m, dtype=np.int64), xs_arr, assume_unique=True)
-    if free.size == 0:
-        return None
     xf = xs_arr.astype(np.float64)
     diff = np.abs(xf[:, None] - xf[None, :])
     np.fill_diagonal(diff, 1.0)
@@ -606,221 +407,162 @@ def _best_insertion(m: int, xs: list[int]) -> list[int] | None:
     return sorted(xs + [best])
 
 
-def _float_descent(m: int, xs: list[int], max_scans: int = 400) -> tuple[float, list[int]]:
-    """Tighten an upper bound by exchanging on float-confirmed violations only.
+@dataclass(frozen=True)
+class _Probe:
+    """Outcome of the exchange on one degree d."""
 
-    Every accepted swap strictly lowers the float objective, so the result
-    remains a valid upper bound on ln nu*(d); no exact arithmetic is used.
-    Stops early once a window of scans stops paying for itself.
+    feasible: bool  # nu*(d) >= target
+    value: float  # ln nu*(d) estimate: midpoint of the proven float bounds
+    nodes: tuple[int, ...]
+    optimal: bool  # ended at a certified optimum
+
+
+class _Solver:
+    """Least feasible degree on one grid m for one target ratio.
+
+    A probe runs the exchange on one degree d only until its side of the
+    target is proven: V(X) bounds nu*(d) from above, and the alternating
+    interpolant divided by its grid maximum M is feasible, so V(X)/M bounds
+    it from below.  "Infeasible" always rests on an exact V(X) < target.
+    A probe adapts the node set of the nearest degree already exchanged on
+    in this call, or starts from Chebyshev points; nothing outlives the
+    call.
     """
-    engine = _Exchange(m, xs)
-    window_start = engine.logv()
-    # bulk phase on subsampled scans, then full-resolution until clean
-    stride = 4 if m > EXCHANGE_M_MAX else 1
-    for scan in range(max_scans):
-        violations = engine.find_violations(float_only=True, stride=stride)
-        if not violations:
+
+    def __init__(self, m: int, target: Fraction):
+        self.m = m
+        self.target = target
+        self.log_target = _log2_fraction(target) * math.log(2.0)
+        self.certify = m <= EXCHANGE_M_MAX
+        self.exchanged: dict[int, list[int]] = {}
+
+    def _seed(self, d: int) -> list[int]:
+        near = min(self.exchanged, key=lambda k: abs(k - d), default=None)
+        if near is not None and abs(near - d) <= _WARM_START_MAX:
+            return _adapt_set(self.m, self.exchanged[near], d + 1)
+        return _chebyshev_int_points(self.m - 1, d + 1)
+
+    def _below_target(self, engine: _Exchange, upper: float) -> bool:
+        """Exact V(X) < target, evaluated only when the float value allows it."""
+        if upper >= self.log_target + _LOG_MARGIN:
+            return False
+        return engine.value_exact() < self.target
+
+    def probe(self, d: int, optimum: bool = False) -> _Probe:
+        """Exchange on degree d until its side of the target is proven or,
+        with `optimum`, until no violation is left.
+
+        Above the exchange cap the scans are float-only; after the seed
+        scan they sample every fourth free point until that finds nothing
+        to swap, and a full scan without progress ends the probe.
+        """
+        engine = _Exchange(self.m, self._seed(d))
+        float_only = not self.certify
+        bulk = float_only
+        lower = -math.inf
+        stride = 1
+        for _ in range(_EXCHANGE_MAX_ITER):
+            violations, log_max_q = engine.find_violations(float_only, stride)
+            upper = engine.logv()
             if stride == 1:
-                break
-            stride = 1
-            continue
-        progressed = False
-        node_set = set(engine.xs)
-        # entries go stale as swaps land; cap the batch and rescan instead
-        for y, s in violations[:256]:
-            if y in node_set:
+                lower = max(lower, upper - log_max_q)
+            settled = stride == 1 and not violations
+            if not optimum and not settled:
+                if self._below_target(engine, upper):
+                    return _Probe(False, (lower + upper) / 2, tuple(engine.xs), False)
+                if lower >= self.log_target + _LOG_MARGIN:
+                    return _Probe(True, (lower + upper) / 2, tuple(engine.xs), False)
+            if engine.exchange_batch(violations, float_only):
+                self.exchanged[d] = list(engine.xs)
+                stride = 4 if bulk else 1
                 continue
-            if engine.swap_toward(y, s, float_only=True):
-                progressed = True
-                node_set = set(engine.xs)
-        if not progressed:
-            if stride == 1:
-                break
-            stride = 1
-            continue
-        if scan % 12 == 11:
-            now = engine.logv()
-            if window_start - now < 0.05:
-                if stride == 1:
-                    break
-                stride = 1
+            if stride > 1:
+                stride, bulk = 1, False
                 continue
-            window_start = now
-    return engine.logv(), list(engine.xs)
+            if self.certify and not settled:
+                raise NumericalFailure(f"exchange stalled at m={self.m}, d={d}")
+            # settled, or a float-only descent that cannot progress
+            if self.certify:
+                feasible = engine.value_exact() >= self.target
+            else:
+                feasible = not self._below_target(engine, upper)
+            return _Probe(feasible, (lower + upper) / 2, tuple(engine.xs), self.certify)
+        raise NumericalFailure(f"exchange did not converge at m={self.m}, d={d}")
+
+    def seed_estimate(self, d: int) -> tuple[bool, float]:
+        """Whether ln nu*(d) - ln target looks nonnegative, and its float
+        estimate from one scan of the Chebyshev seed: the midpoint of ln V
+        and ln V/M, which tracks the optimum within a few units where V and
+        V/M lie hundreds apart."""
+        engine = _Exchange(self.m, _chebyshev_int_points(self.m - 1, d + 1))
+        log_max_q = engine.find_violations(float_only=True)[1]
+        g = engine.logv() - log_max_q / 2 - self.log_target
+        return g >= 0, g
+
+    def least_degree(self) -> tuple[int, bool, tuple[int, ...]]:
+        """Locate the crossing on the seed estimates, decide it with probes
+        starting there, and exchange the answer to its certified optimum."""
+        # ln nu*(0) = 0 and ln nu*(m - 1) = ln(2^m - 1)
+        ends = (0, -self.log_target, self.m - 1, self.m * math.log(2.0) - self.log_target)
+        start = _least_crossing(self.seed_estimate, *ends)
+        probes: dict[int, _Probe] = {}
+
+        def decide(d: int) -> tuple[bool, float]:
+            probes[d] = self.probe(d)
+            return probes[d].feasible, probes[d].value - self.log_target
+
+        hi = _least_crossing(decide, *ends, first=start)
+        best = probes.get(hi)
+        if best is None or (self.certify and not best.optimal):
+            best = self.probe(hi, optimum=True)
+            if not best.feasible:
+                raise NumericalFailure(
+                    f"feasible verdict at m={self.m}, d={hi} failed its certificate"
+                )
+        return hi, self.certify, best.nodes
 
 
-_DESCENT_SEEDS: dict[int, list[int]] = {}
-_POLISH_UPPER: dict[tuple[int, int], tuple[float, list[int]]] = {}
+def _least_crossing(evaluate, lo: int, g_lo: float, hi: int, g_hi: float,
+                    first: int | None = None) -> int:
+    """Least d in (lo, hi] with evaluate(d) = (True, g), for g an estimate of
+    an increasing convex curve that crosses 0 between the ends.
 
-
-def _polish_upper(m: int, d: int) -> tuple[float, list[int]]:
-    """Cheap cached upper bound (family scan + relocation polish only)."""
-    key = (m, d)
-    cached = _POLISH_UPPER.get(key)
-    if cached is None:
-        cached = _heuristic_minimum(m, d, polish_sweeps=_polish_sweeps(m))
-        _POLISH_UPPER[key] = cached
-    return cached
-
-
-def _upper_log(m: int, d: int) -> tuple[float, list[int]]:
-    """Cached float upper bound on ln nu*(d) with its node set.
-
-    Below the exchange cap this is the polished placement (the certified
-    exchange refines it when needed); above the cap a float-only exchange
-    descent is applied on top, seeded from the nearest previous probe.
+    Illinois regula falsi: the end kept twice in a row has its g halved, so
+    the convex curve cannot stall the bracket on one side.  The ends are
+    never evaluated; `first` forces the first point.
     """
-    key = (m, d)
-    cached = _NU_UPPER_LOG.get(key)
-    if cached is not None:
-        return cached
-    known = _NU_EXACT.get(key)
-    if known is not None:
-        result = (_log2_fraction(known[1]) * math.log(2.0), list(known[0]))
-    elif m > EXCHANGE_M_MAX:
-        seed = _DESCENT_SEEDS.get(m)
-        if seed is not None and abs(len(seed) - (d + 1)) <= 192:
-            start = _adapt_set(m, seed, d + 1)
-        else:
-            start = _polish_upper(m, d)[1]
-        result = _float_descent(m, start)
-        _DESCENT_SEEDS[m] = result[1]
-    else:
-        result = _polish_upper(m, d)
-    _NU_UPPER_LOG[key] = result
-    return result
-
-
-def _secant_min_d(m: int, log_target: float, bound_fn, lo_start: int = 0,
-                  first: int | None = None) -> int:
-    """Least d in (lo_start, m-1] whose bound reaches log_target.
-
-    Bracketing secant on a convex increasing curve, with interleaved
-    bisection when interpolation stalls; every probe shrinks the bracket,
-    so termination is unconditional.  `first` forces the initial probe.
-    """
-    lo = max(0, lo_start)
-    hi = m - 1
-    cached = _NU_UPPER_LOG.get((m, lo)) or _POLISH_UPPER.get((m, lo))
-    u_lo = cached[0] if cached else 0.0
-    u_hi = m * math.log(2.0)  # the full node set evaluates to 2^m - 1
-    forced = first
-    bisect_next = False
+    kept = 0  # +1 after a True verdict, -1 after a False one
+    d = first
     while hi - lo > 1:
-        span = hi - lo
-        if forced is not None and lo < forced < hi:
-            d_next = forced
-        elif bisect_next:
-            d_next = lo + span // 2
+        if d is None or not lo < d < hi:
+            d = lo + math.ceil(-g_lo * (hi - lo) / (g_hi - g_lo))
+            d = min(max(d, lo + 1), hi - 1)
+        above, g = evaluate(d)
+        if above:
+            hi, g_hi = d, max(g, _LOG_MARGIN)
+            if kept > 0:
+                g_lo /= 2
+            kept = 1
         else:
-            guess = lo + (log_target - u_lo) * span / max(u_hi - u_lo, 1e-9)
-            d_next = min(max(int(round(guess)), lo + 1), hi - 1)
-        forced = None
-        u = bound_fn(m, d_next)[0]
-        if u >= log_target - _LOG_MARGIN:
-            hi, u_hi = d_next, u
-        else:
-            lo, u_lo = d_next, u
-        # regula falsi can crawl on convex curves; interleave bisection
-        bisect_next = (hi - lo) > 0.75 * span
+            lo, g_lo = d, min(g, -_LOG_MARGIN)
+            if kept < 0:
+                g_hi /= 2
+            kept = -1
+        d = None
     return hi
 
 
-def _local_slope_min_d(m: int, log_target: float, d_start: int) -> int:
-    """Least d whose descent-tightened bound reaches log_target.
+@lru_cache(maxsize=_MEMO_SIZE)
+def _min_feasible_degree(m: int, target: Fraction) -> tuple[int, bool, tuple[int, ...]]:
+    """Least degree whose best approximation error meets the target ratio
+    (callers pass (1 - eps)/eps >= 2), whether it is certified, and the node
+    set the answer was decided on (optimal when certified; empty for m).
 
-    The tightened curve is nearly affine with a slope far below the chord
-    to the full node set, so steps use the slope observed between the two
-    nearest probes (seeded from the polish-level curve at d_start).
+    The engine's one cache: the result depends on (m, target) alone.
     """
-    lo, hi = d_start - 1, m - 1
-    history: dict[int, float] = {}
-    # seed slope from the cheap polish curve around the start point
-    back = max(1, d_start - 16)
-    slope = (_polish_upper(m, d_start)[0] - _polish_upper(m, back)[0]) / max(
-        d_start - back, 1
-    )
-    d = d_start
-    while hi - lo > 1:
-        u = _upper_log(m, d)[0]
-        history[d] = u
-        if u >= log_target - _LOG_MARGIN:
-            hi = min(hi, d)
-        else:
-            lo = max(lo, d)
-        others = [a for a in history if a != d]
-        if others:
-            nearest = min(others, key=lambda a: abs(a - d))
-            observed = abs((history[d] - history[nearest]) / (d - nearest))
-            if observed > 1e-9:
-                slope = observed
-        step = max(1, int(round(abs(log_target - u) / max(slope, 1e-9))))
-        d_next = d - step if u >= log_target else d + step + 1
-        d_next = min(max(d_next, lo + 1), hi - 1)
-        while d_next in history and lo < d_next < hi:
-            d_next += 1 if d_next <= d else -1
-        if not lo < d_next < hi or d_next in history:
-            d_next = (lo + hi) // 2
-            if d_next in history:
-                break
-        d = d_next
-    return hi
-
-
-def _confirmed_infeasible(m: int, d: int, target: Fraction, log_upper: float,
-                          nodes: list[int]) -> bool:
-    """Exact confirmation that nu*(d) < target from an upper-bound node set."""
-    log_target = _log2_fraction(target) * math.log(2.0)
-    if log_upper > log_target + _LOG_MARGIN:
-        return False  # the bound does not even claim infeasibility
-    return _value_exact(m, nodes, _abs_denominators(nodes)) < target
-
-
-def _min_feasible_degree(m: int, target: Fraction) -> tuple[int, bool]:
-    """Least degree whose best approximation error meets the target ratio.
-
-    A float scan over upper bounds brackets the answer; V(X) >= nu* for any
-    node set, so below-target bounds rigorously prove infeasibility, and
-    the boundary is then settled by the certified exchange (or, above the
-    exchange size cap, by exact evaluation of the bound itself, leaving the
-    feasible side heuristic).
-    """
-    if m == 1:
-        # Grid {0}: any degree >= 1 interpolates freely; constants cannot.
-        return (0 if target <= 1 else 1), True
     if Fraction((1 << m) - 1) < target:
-        return m, True  # even full alternation cannot reach the target
-    if target <= 1:
-        return 0, True
-    log_target = _log2_fraction(target) * math.log(2.0)
-    # Float phase: least d whose UPPER bound reaches the target.  For all
-    # smaller d the upper bound is below target, hence truly infeasible.
-    # ln nu*(d) is close to affine locally, so secant steps on the cached
-    # upper bounds need far fewer probes than bisection.
-    d = _secant_min_d(m, log_target, _polish_upper)
-    if m > EXCHANGE_M_MAX:
-        # The polish placements are loose on huge grids; rebracket on the
-        # descent-tightened bounds, stepping by the locally observed slope.
-        d = _local_slope_min_d(m, log_target, d)
-    # Confirm the last rigorous-infeasible verdict below the bracket.
-    if d > 1:
-        log_u, nodes = _upper_log(m, d - 1)
-        if not _confirmed_infeasible(m, d - 1, target, log_u, nodes):
-            # Margin case: fall back to certified verdicts downward.
-            while d > 1 and m <= EXCHANGE_M_MAX and _certified_optimum(m, d - 1)[1] >= target:
-                d -= 1
-    if m > EXCHANGE_M_MAX:
-        # Feasible side stays heuristic above the exchange cap.
-        return d, False
-    warm: Sequence[int] | None = None
-    while d < m:
-        nu = _certified_optimum(m, d, init=warm)[1]
-        if nu >= target:
-            return d, True
-        # The optimum at d seeds d+1 via the cheapest single insertion.
-        warm = _best_insertion(m, list(_NU_EXACT[(m, d)][0]))
-        d += 1
-    return m, True
+        return m, True, ()  # even full alternation cannot reach the target
+    return _Solver(m, target).least_degree()
 
 
 def and_feasibility_target(eps: Fraction) -> Fraction:
@@ -853,8 +595,7 @@ def min_and_approx_degree(
             f"epsilon below the cited regime 2^(-m log2 m) for m={m}; computing anyway",
             stacklevel=2,
         )
-    degree, _ = _min_feasible_degree(m, and_feasibility_target(eps))
-    return degree
+    return _min_feasible_degree(m, and_feasibility_target(eps))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -931,14 +672,14 @@ def build_and_approximant(
     if not 0 < eps <= Fraction(1, 3):
         raise DomainError(f"epsilon must lie in (0, 1/3], got {eps}")
     target = and_feasibility_target(eps)
-    degree, _ = _min_feasible_degree(m, target)
+    degree, _, nodes = _min_feasible_degree(m, target)
     if degree >= m:
         xs = list(range(m + 1))
         values = [Fraction(0)] * m + [Fraction(1)]
     else:
-        nodes, v = _certified_optimum(m, degree)
-        scale = eps if v <= (1 + eps) / eps else 1 / v
         xs = list(nodes)
+        v = _value_exact(m, xs, _abs_denominators(xs))
+        scale = eps if v <= (1 + eps) / eps else 1 / v
         d = len(xs) - 1
         values = [scale * (1 if (d - i) % 2 == 0 else -1) for i in range(d + 1)]
     newton = _newton_coefficients(xs, values)
@@ -1014,7 +755,7 @@ def bpm_degree_bound(n: int, eps) -> DegreeBoundReport:
     in_regime = m < 2 or _log2_fraction(ep) >= -m * math.log2(m)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        degree, certified = _min_feasible_degree(m, and_feasibility_target(ep))
+        degree, certified, _ = _min_feasible_degree(m, and_feasibility_target(ep))
     threshold = _ceil_n_to_3_2(n)
     return DegreeBoundReport(
         n=n,

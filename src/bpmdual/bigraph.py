@@ -214,7 +214,11 @@ def cyclomatic_number(g: BipartiteGraph) -> int:
 
 
 def _has_pm_with_forced_edge(g: BipartiteGraph, i: int, j: int) -> bool:
-    """Perfect matching containing the 0-based edge (i, j)?"""
+    """Perfect matching on the vertices of g - a_{i+1} - b_{j+1}?
+
+    When (i, j) is an edge of g this asks for a perfect matching of g
+    containing it.
+    """
     n = g.n
     if n == 1:
         return True
@@ -317,18 +321,6 @@ def _minimum_vertex_covers(g: BipartiteGraph) -> set[tuple[int, int]]:
     return best
 
 
-def _pm_after_deleting(g: BipartiteGraph, i: int, j: int) -> bool:
-    """Perfect matching on the vertices of g - a_{i+1} - b_{j+1}?"""
-    n = g.n
-    if n == 1:
-        return True
-    colbit = 1 << j
-    rows = tuple(g.rows[r] & ~colbit for r in range(n) if r != i)
-    if any(row == 0 for row in rows):
-        return False
-    return _match_rows(n, rows + ((1 << n) - 1,))
-
-
 def hetyei_conditions(g: BipartiteGraph) -> HetyeiConditions:
     """Evaluate the five elementary-graph conditions independently.
 
@@ -356,7 +348,7 @@ def hetyei_conditions(g: BipartiteGraph) -> HetyeiConditions:
         cond4 = g.rows[0] == 1  # G = K_2
     else:
         cond4 = all(
-            _pm_after_deleting(g, i, j) for i in range(n) for j in range(n)
+            _has_pm_with_forced_edge(g, i, j) for i in range(n) for j in range(n)
         )
 
     cond5 = connected_components(g) == 1 and all(

@@ -42,11 +42,26 @@ def _read_graph(path: str) -> BipartiteGraph:
         return parse_graph(fh.read())
 
 
-def _parse_rational(text: str) -> Fraction:
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+def _side_size(text: str) -> int:
+    """argparse type of every --n: a positive integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"n must be an integer, got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError("n must be at least 1")
+    return n
+
+
+def _rational(text: str) -> Fraction:
+    """argparse type of p/q literals; floats are never parsed."""
+    num, slash, den = text.partition("/")
+    try:
+        return Fraction(int(num), int(den)) if slash else Fraction(int(text))
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected a rational p/q with q != 0, got {text!r}"
+        ) from None
 
 
 def _cmd_coeff(args) -> int:
@@ -148,22 +163,14 @@ def _cmd_sens(args) -> int:
 
 
 def _cmd_apxdeg(args) -> int:
-    import math
     import warnings
 
-    from .approxdeg import assemble_bpm_approximant, bpm_degree_bound
+    from .approxdeg import _log2_fraction, assemble_bpm_approximant, bpm_degree_bound
 
-    eps = _parse_rational(args.eps)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        report = bpm_degree_bound(args.n, eps)
-    log2_ep = math.log2(report.epsilon_prime.numerator) - math.log2(
-        report.epsilon_prime.denominator
-    ) if report.epsilon_prime.numerator < 1 << 53 else None
-    if log2_ep is None:
-        from .approxdeg import _log2_fraction
-
-        log2_ep = _log2_fraction(report.epsilon_prime)
+        report = bpm_degree_bound(args.n, args.eps)
+    log2_ep = _log2_fraction(report.epsilon_prime)
     rows = {
         "n": report.n,
         "eps": str(report.epsilon),
@@ -182,7 +189,7 @@ def _cmd_apxdeg(args) -> int:
     for w in caught:
         print(f"note: {w.message}", file=sys.stderr)
     if args.assemble:
-        approx = assemble_bpm_approximant(args.n, eps)
+        approx = assemble_bpm_approximant(args.n, args.eps)
         rep = approx.report()
         print(f"assembled_degree\t{rep.degree}")
         print(f"assembled_max_error\t{rep.max_error}")
@@ -222,28 +229,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_coeff)
 
     p = sub.add_parser("poly", help="dump the full polynomial (n <= 4)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_side_size, required=True)
     p.add_argument("--format", default="tsv", choices=["tsv", "json"])
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=_cmd_poly)
 
     p = sub.add_parser("verify", help="closed form vs oracle, exhaustively")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_side_size, required=True)
     p.add_argument("--huge", action="store_true", help="allow n=5 (2^25 table)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("count", help="monomial count and coefficient bounds")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_side_size, required=True)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("sens", help="sensitivity report for the path input")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_side_size, required=True)
     p.add_argument("--format", default="tsv", choices=["tsv", "json"])
     p.set_defaults(func=_cmd_sens)
 
     p = sub.add_parser("apxdeg", help="approximate-degree bound report")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--eps", required=True, help="rational like 1/3")
+    p.add_argument("--n", type=_side_size, required=True)
+    p.add_argument("--eps", type=_rational, required=True, help="rational like 1/3")
     p.add_argument("--assemble", action="store_true", help="certify end-to-end (n <= 3)")
     p.add_argument("--format", default="tsv", choices=["tsv", "json"])
     p.set_defaults(func=_cmd_apxdeg)

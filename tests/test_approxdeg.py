@@ -11,8 +11,9 @@ from bpmdual.approxdeg import (
     BpmStarApproximant,
     DegreeBoundReport,
     UnivariatePolynomial,
+    _Solver,
     _abs_denominators,
-    _certified_optimum,
+    _min_feasible_degree,
     _value_exact,
     and_feasibility_target,
     assemble_bpm_approximant,
@@ -113,6 +114,16 @@ class TestMinAndApproxDegree:
         with pytest.raises(SizeLimitError):
             min_and_approx_degree(257, THIRD)
 
+    def test_exchange_optimum_matches_enumeration(self):
+        for m in range(2, 10):
+            for d in range(1, m):
+                probe = _Solver(m, Fraction(2)).probe(d, optimum=True)
+                assert probe.optimal
+                nodes = list(probe.nodes)
+                assert len(nodes) == d + 1
+                nu = _value_exact(m, nodes, _abs_denominators(nodes))
+                assert nu == brute_nu(m, d), (m, d)
+
     def test_out_of_regime_warns(self):
         with pytest.warns(UserWarning):
             min_and_approx_degree(4, Fraction(1, 10**9))
@@ -138,6 +149,16 @@ class TestBuildAndApproximant:
         for k in range(4):
             assert abs(poly.evaluate(k)) <= THIRD
         assert abs(poly.evaluate(4) - 1) <= THIRD
+
+    def test_history_independent(self):
+        eps = Fraction(1, 10)
+        _min_feasible_degree.cache_clear()
+        cold = build_and_approximant(40, eps).coefficients
+        _min_feasible_degree.cache_clear()
+        for m, other in [(41, eps), (39, THIRD), (40, Fraction(1, 1000)), (128, eps)]:
+            min_and_approx_degree(m, other)
+        assert build_and_approximant(40, eps).coefficients == cold
+        assert build_and_approximant(40, eps).coefficients == cold  # memo hit
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 9])
     @pytest.mark.parametrize("eps", [THIRD, Fraction(1, 10)])

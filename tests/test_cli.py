@@ -166,6 +166,13 @@ class TestApxdeg:
     def test_bad_eps(self, capsys):
         assert run(["apxdeg", "--n", "2", "--eps", "1/2"]) == 2
 
+    @pytest.mark.parametrize("eps", ["1/0", "abc"])
+    def test_malformed_eps_exits_2(self, eps, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["apxdeg", "--n", "2", "--eps", eps])
+        assert exc.value.code == 2
+        assert "expected a rational p/q" in capsys.readouterr().err
+
 
 class TestEval:
     def test_round_trip_tsv(self, tmp_path, k22, capsys):
@@ -186,6 +193,23 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["apxdeg", "--n", "0", "--eps", "1/3"],
+            ["count", "--n", "0"],
+            ["count", "--n", "-1"],
+            ["poly", "--n", "-2"],
+            ["verify", "--n", "0"],
+            ["sens", "--n", "0"],
+        ],
+    )
+    def test_nonpositive_n_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "n must be at least 1" in capsys.readouterr().err
 
     def test_help_mentions_caps(self, capsys):
         with pytest.raises(SystemExit) as exc:
