@@ -175,46 +175,45 @@ def permitted_sum_coefficient(h: BipartiteGraph) -> int:
         sub = (sub - 1) & pmask
 
 
-@lru_cache(maxsize=8)
 def star_table(n: int, huge: bool = False) -> np.ndarray:
-    """BPM* values for every edge mask, as an int64 array of size 2^(n^2).
+    """BPM* values for every edge mask, as an int8 0/1 array of size 2^(n^2).
 
-    Computed from permutation masks rather than the augmenting-path matcher,
-    so the table is independent of the per-graph matching code.
+    Built as the OR superset closure of the n! permutation masks, so the table
+    is independent of the per-graph matching code.
     """
     cap = TABLE_N_MAX_HUGE if huge else TABLE_N_MAX
     if n > cap:
         raise SizeLimitError("n", n, cap)
-    size = 1 << (n * n)
-    idx = np.arange(size, dtype=np.int64)
-    has_pm = np.zeros(size, dtype=bool)
+    has_pm = np.zeros(1 << (n * n), dtype=bool)
     for p in permutations(range(n)):
-        pmask = sum(1 << (i * n + p[i]) for i in range(n))
-        np.logical_or(has_pm, (idx & pmask) == pmask, out=has_pm)
+        has_pm[sum(1 << (i * n + p[i]) for i in range(n))] = True
+    _lattice_sweep(has_pm, n * n, np.bitwise_or)
     # star[mask] = 1 - has_pm[complement of mask]; complement reverses index order.
-    return (~has_pm[::-1]).astype(np.int64)
+    return np.logical_not(has_pm[::-1]).view(np.int8)
+
+
+def _lattice_sweep(a: np.ndarray, bits: int, op) -> np.ndarray:
+    """In each lattice dimension, set the bit-on half to op(bit-on, bit-off), in place."""
+    for b in range(bits):
+        view = a.reshape(-1, 2, 1 << b)
+        op(view[:, 1, :], view[:, 0, :], out=view[:, 1, :])
+    return a
 
 
 def mobius_transform(values: np.ndarray, bits: int) -> np.ndarray:
-    """In each lattice dimension, subtract the bit-off half from the bit-on half."""
-    a = values.copy()
-    for b in range(bits):
-        view = a.reshape(-1, 2, 1 << b)
-        view[:, 1, :] -= view[:, 0, :]
-    return a
+    """Subset-lattice inversion in at least int32, exact for 0/1 input: after b
+    sweeps an entry is a signed sum of at most 2^b inputs, so |entry| <= 2^25 <
+    2^31 up to n = TABLE_N_MAX_HUGE; int64 input stays int64."""
+    return _lattice_sweep(values.astype(np.result_type(values.dtype, np.int32)), bits, np.subtract)
 
 
 def zeta_transform(values: np.ndarray, bits: int) -> np.ndarray:
-    """Subset sums in place: the inverse of the Mobius transform."""
-    a = values.copy()
-    for b in range(bits):
-        view = a.reshape(-1, 2, 1 << b)
-        view[:, 1, :] += view[:, 0, :]
-    return a
+    """Subset sums: the inverse of the Mobius transform."""
+    return _lattice_sweep(values.copy(), bits, np.add)
 
 
 def coefficient_table(n: int, huge: bool = False) -> DualPolynomial:
     """Complete exact coefficient table of BPM*_n via the fast transform."""
     coeffs = mobius_transform(star_table(n, huge), n * n)
     nz = np.nonzero(coeffs)[0]
-    return DualPolynomial(n, {int(mask): int(coeffs[mask]) for mask in nz})
+    return DualPolynomial(n, dict(zip(nz.tolist(), coeffs[nz].tolist())))

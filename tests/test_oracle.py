@@ -1,6 +1,9 @@
 """Brute-force oracle tests: the oracles agree with one another and with
 the closed form, and the documented anomalies hold exactly as recorded."""
 
+import random
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -14,12 +17,13 @@ from bpmdual.oracle import (
     elementary_sum_coefficient,
     mc_chi_sum_coefficient,
     mobius_coefficient,
+    mobius_transform,
     permitted_sum_coefficient,
     star_table,
     zeta_transform,
 )
 from bpmdual.ordered import Block, is_sorted_ordered
-from bpmdual.polyspace import evaluate
+from bpmdual.polyspace import evaluate, monomial_count
 
 
 def g(n, *edges):
@@ -38,6 +42,63 @@ class TestBpmStar:
     def test_row_pair(self):
         # Complement {(2,1),(2,2)} concentrates both edges at a_2: no PM.
         assert bpm_star_value(g(2, (1, 1), (1, 2))) == 1
+
+
+def permutation_scan_star(n):
+    """BPM* table by one full pass over all masks per permutation mask: the
+    brute-force oracle for the superset closure in star_table."""
+    size = 1 << (n * n)
+    idx = np.arange(size, dtype=np.int64)
+    has_pm = np.zeros(size, dtype=bool)
+    for p in permutations(range(n)):
+        pmask = sum(1 << (i * n + p[i]) for i in range(n))
+        np.logical_or(has_pm, (idx & pmask) == pmask, out=has_pm)
+    return (~has_pm[::-1]).astype(np.int64)
+
+
+class TestStarTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_permutation_scan(self, n):
+        table = star_table(n)
+        assert table.dtype == np.int8
+        assert np.array_equal(table, permutation_scan_star(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_matcher(self, n):
+        table = star_table(n)
+        for graph in all_graphs(n):
+            assert table[graph.mask] == bpm_star_value(graph), graph
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_mutating_a_table_leaves_later_calls_alone(self, n):
+        expected = coefficient_table(n).terms
+        for table in (star_table(n), star_table(n, False), star_table(n, huge=False),
+                      star_table(n, True), star_table(n, huge=True)):
+            table[:] = 1
+        assert coefficient_table(n).terms == expected
+
+
+class TestLatticeTransforms:
+    def test_int8_round_trip(self):
+        table = star_table(4)
+        coeffs = mobius_transform(table, 16)
+        assert coeffs.dtype == np.int32
+        assert np.array_equal(zeta_transform(coeffs, 16), table)
+
+    def test_int64_round_trip(self):
+        rng = np.random.default_rng(20261018)
+        values = rng.integers(-(1 << 40), 1 << 40, size=1 << 12, dtype=np.int64)
+        coeffs = mobius_transform(values, 12)
+        assert coeffs.dtype == np.int64
+        back = zeta_transform(coeffs, 12)
+        assert back.dtype == np.int64
+        assert np.array_equal(back, values)
+
+    def test_input_left_unchanged(self):
+        values = np.arange(16, dtype=np.int64)
+        mobius_transform(values, 4)
+        zeta_transform(values, 4)
+        assert np.array_equal(values, np.arange(16))
 
 
 class TestMobius:
@@ -146,6 +207,16 @@ class TestCoefficientTable:
         with pytest.raises(SizeLimitError):
             coefficient_table(5)
 
+    def test_n5_table(self):
+        table = coefficient_table(5, huge=True)
+        assert len(table) == monomial_count(5) == 95161
+        rng = random.Random(20261018)
+        nonzero = rng.sample(sorted(table.terms), 200)
+        uniform = [rng.getrandbits(25) for _ in range(200)]
+        for mask in nonzero + uniform:
+            graph = BipartiteGraph.from_mask(5, mask)
+            assert table.terms.get(mask, 0) == dual_coefficient(graph), graph
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_single_edge_coefficients(self, n):
         table = coefficient_table(n)
@@ -171,8 +242,6 @@ class TestConcordance:
                 assert permitted_sum_coefficient(graph) == expected, graph
 
     def test_sampled_agreement_n4(self):
-        import random
-
         rng = random.Random(20260808)
         for _ in range(12):
             # bias toward denser graphs so supergraph sums stay small
