@@ -32,8 +32,8 @@ from .polyspace import DualPolynomial, bound_report, evaluate, materialize
 from .sensitivity import construct_path_input, sensitivity_at
 
 CAPS_NOTE = (
-    "size caps: coeff oracles n<=4 (permitted n<=5); poly/verify n<=4 "
-    "(n=5 with --huge); count n<=10; sens n<=16; apxdeg n<=64, --assemble n<=3"
+    "size caps: coeff oracles n<=4 (permitted n<=5); poly n<=5; verify n<=4 "
+    "(n=5 with --huge); count n<=40; sens n<=16; apxdeg n<=64, --assemble n<=3"
 )
 
 
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_coeff)
 
-    p = sub.add_parser("poly", help="dump the full polynomial (n <= 4)")
+    p = sub.add_parser("poly", help="dump the full polynomial (n <= 5)")
     p.add_argument("--n", type=_side_size, required=True)
     p.add_argument("--format", default="tsv", choices=["tsv", "json"])
     p.add_argument("--out", help="output file (default stdout)")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .bigraph import BipartiteGraph
-from .ordered import Block, RepresentingSequence
+from .ordered import Block, RepresentingSequence, _chain, _run_lengths
 
 
 def binomial(a: int, b: int) -> int:
@@ -65,16 +65,8 @@ def dual_coefficient(g: BipartiteGraph) -> int:
     closed form evaluated on the degree profile.  Agrees with subset-lattice
     inversion on every graph with n <= 4 (exhaustively tested).
     """
-    degrees = sorted(row.bit_count() for row in g.rows)
-    rows = sorted(g.rows, key=lambda r: r.bit_count())
-    if any(a & ~b for a, b in zip(rows, rows[1:])):
+    rows = _chain(g.rows)
+    if rows is None:
         return 0
-    n = g.n
-    # Run-length encode the ascending degree profile into (d_i, k_i) pairs.
-    pairs = []
-    for i, deg in enumerate(degrees):
-        if pairs and pairs[-1][0] == deg:
-            pairs[-1] = (deg, i + 1)
-        else:
-            pairs.append((deg, i + 1))
-    return sequence_coefficient(RepresentingSequence(n, tuple(pairs)))
+    pairs = _run_lengths(row.bit_count() for row in rows)
+    return sequence_coefficient(RepresentingSequence(g.n, pairs))

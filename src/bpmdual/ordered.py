@@ -126,8 +126,27 @@ def is_totally_ordered(g: BipartiteGraph) -> bool:
     Sorting rows by degree and checking consecutive containment is
     equivalent to the existential over-all-orderings definition.
     """
-    rows = sorted(g.rows, key=lambda r: r.bit_count())
-    return all(a & ~b == 0 for a, b in zip(rows, rows[1:]))
+    return _chain(g.rows) is not None
+
+
+def _chain(rows: tuple[int, ...]) -> list[int] | None:
+    """The rows sorted by degree if they form a chain under inclusion, else None."""
+    rows = sorted(rows, key=int.bit_count)
+    if any(a & ~b for a, b in zip(rows, rows[1:])):
+        return None
+    return rows
+
+
+def _run_lengths(degrees) -> tuple[tuple[int, int], ...]:
+    """Run-length encode an ascending degree profile into the (d_i, k_i)
+    pairs of a representing sequence: k_i counts the rows of degree <= d_i."""
+    pairs = []
+    for i, deg in enumerate(degrees, 1):
+        if pairs and pairs[-1][0] == deg:
+            pairs[-1] = (deg, i)
+        else:
+            pairs.append((deg, i))
+    return tuple(pairs)
 
 
 def canonical_sort(
@@ -182,14 +201,7 @@ def representing_sequence(h: BipartiteGraph) -> RepresentingSequence:
     """Run-length encode the left degree profile of a sorted ordered graph."""
     if not is_sorted_ordered(h):
         raise NotSortedOrderedError("rows are not ascending right-side prefixes")
-    pairs = []
-    for i, row in enumerate(h.rows):
-        deg = row.bit_count()
-        if pairs and pairs[-1][0] == deg:
-            pairs[-1] = (deg, i + 1)
-        else:
-            pairs.append((deg, i + 1))
-    return RepresentingSequence(h.n, tuple(pairs))
+    return RepresentingSequence(h.n, _run_lengths(row.bit_count() for row in h.rows))
 
 
 def permitted_edges(s: RepresentingSequence) -> PermittedEdgeSet:

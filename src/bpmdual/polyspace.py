@@ -11,15 +11,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, combinations
 from typing import Iterator
 
 from ._errors import DimensionMismatchError, SizeLimitError
 from .bigraph import BipartiteGraph
-from .coeff import binomial, sequence_coefficient
+from .coeff import binomial, f_factor, sequence_coefficient
 from .ordered import RepresentingSequence
 
 ENUMERATION_N_MAX = 10
-MATERIALIZE_N_MAX = 4
+COUNT_N_MAX = 40
+MATERIALIZE_N_MAX = 5
 
 
 @dataclass(frozen=True)
@@ -154,31 +156,109 @@ def labeled_count(s: RepresentingSequence) -> int:
     return _multinomial(n, row_runs) * _multinomial(n, col_runs)
 
 
+def _sequence_dp(n: int) -> tuple[int, int]:
+    """(monomial count, largest |coefficient|) by a transfer matrix over the
+    states (k_{i-1}, d_i, k_i) of a representing sequence.
+
+    A coefficient is a product of one f factor per step and a terminal
+    binomial, and `labeled_count` is a product of one row and one column
+    binomial per step, so the count is a path sum and the largest
+    |coefficient| a path maximum.  The f factor of the step to
+    (d_{i+1}, k_{i+1}) does not depend on k_{i+1}, and the row binomial
+    depends only on (k_i, k_{i+1}), so each step costs O(n^2) per
+    (k_i, d_{i+1}) and the whole DP O(n^4) integer operations.
+    """
+    comb = math.comb
+    # count[k][a][d] and best[k][a][d]: summed orbit sizes and largest
+    # |partial product| over the nonzero prefixes ending in state (a, d, k).
+    count = [[[0] * (n + 1) for _ in range(n)] for _ in range(n + 1)]
+    best = [[[0] * (n + 1) for _ in range(n)] for _ in range(n + 1)]
+    for k in range(1, n + 1):
+        for d in range(n + 1):
+            count[k][0][d] = comb(n, k) * comb(n, d)
+            best[k][0][d] = 1
+    for k in range(1, n):
+        count_k, best_k = count[k], best[k]
+        for d_next in range(1, n + 1):
+            paths = largest = 0
+            for a in range(k):
+                count_a, best_a = count_k[a], best_k[a]
+                for d in range(d_next):
+                    f = f_factor(d_next - a, d - a, k - a)
+                    if f:
+                        paths += count_a[d] * comb(n - d, d_next - d)
+                        largest = max(largest, best_a[d] * abs(f))
+            for k_next in range(k + 1, n + 1):
+                count[k_next][k][d_next] = paths * comb(n - k, k_next - k)
+                best[k_next][k][d_next] = largest
+    total = top = 0
+    for a in range(n):
+        for d in range(n + 1):
+            last = binomial(n - a - 1, n - d)
+            if last:
+                total += count[n][a][d]
+                top = max(top, best[n][a][d] * last)
+    return total, top
+
+
 def monomial_count(n: int) -> int:
     """Number of monomials of the dual polynomial, by orbit counting."""
-    if n > ENUMERATION_N_MAX:
-        raise SizeLimitError("n", n, ENUMERATION_N_MAX)
-    return sum(labeled_count(s) for s in enumerate_sequences(n, nonzero_only=True))
+    if n > COUNT_N_MAX:
+        raise SizeLimitError("n", n, COUNT_N_MAX)
+    return _sequence_dp(n)[0]
 
 
 def max_abs_coefficient(n: int) -> int:
     """Largest coefficient magnitude over all monomials."""
-    if n > ENUMERATION_N_MAX:
-        raise SizeLimitError("n", n, ENUMERATION_N_MAX)
-    return max(abs(sequence_coefficient(s)) for s in enumerate_sequences(n))
+    if n > COUNT_N_MAX:
+        raise SizeLimitError("n", n, COUNT_N_MAX)
+    return _sequence_dp(n)[1]
+
+
+def _splits(bits: list[int], sizes: list[int]) -> Iterator[tuple[int, ...]]:
+    """Every way to deal `bits` into an ordered list of groups of the given
+    sizes, as the OR of each group's bits."""
+    if not sizes:
+        yield ()
+        return
+    for chosen in combinations(bits, sizes[0]):
+        rest = [b for b in bits if b not in chosen]
+        head = sum(chosen)
+        for tail in _splits(rest, sizes[1:]):
+            yield (head,) + tail
 
 
 def materialize(n: int) -> DualPolynomial:
-    """Build the full labeled polynomial by scanning all 2^(n^2) edge sets."""
+    """Build the full labeled polynomial by expanding every nonzero
+    representing sequence into its orbit.
+
+    Rows go to bands of sizes k_i - k_{i-1} and columns to groups of sizes
+    d_1, d_2 - d_1, ..., n - d_t; a row in band b (0-based) is adjacent to
+    column groups 0..b.  A row's band is fixed by its degree and a column's
+    group by the first band that sees it, so distinct assignments give
+    distinct graphs: the orbit has `labeled_count(s)` members, and every
+    totally ordered graph lies in the orbit of its own sequence.
+    """
     if n > MATERIALIZE_N_MAX:
         raise SizeLimitError("n", n, MATERIALIZE_N_MAX)
-    from .coeff import dual_coefficient
-
+    row_bits = [1 << (i * n) for i in range(n)]
+    col_bits = [1 << j for j in range(n)]
     terms: dict[int, int] = {}
-    for mask in range(1 << (n * n)):
-        c = dual_coefficient(BipartiteGraph.from_mask(n, mask))
-        if c:
-            terms[mask] = c
+    for s in enumerate_sequences(n):
+        c = sequence_coefficient(s)
+        if not c:
+            continue
+        ds = [d for d, _ in s.pairs]
+        ks = [0] + [k for _, k in s.pairs]
+        row_sizes = [b - a for a, b in zip(ks, ks[1:])]
+        col_sizes = [b - a for a, b in zip([0] + ds, ds + [n])]
+        # bands[b] has bit i*n for each row i of band b, so seen * bands[b]
+        # copies the columns band b sees into each of its rows.
+        bands_list = list(_splits(row_bits, row_sizes))
+        for groups in _splits(col_bits, col_sizes):
+            seen = list(accumulate(groups))
+            for bands in bands_list:
+                terms[sum(u * r for u, r in zip(seen, bands))] = c
     return DualPolynomial(n, terms)
 
 
@@ -193,7 +273,7 @@ class BoundReport:
     max_abs_coefficient: int
     coeff_upper: int  # 2^(2n)
     coeff_lower: int  # binomial(n-1, floor(n/2)), the half biclique
-    method: str = "sequence-enumeration"
+    method: str = "transfer-matrix"
 
     @property
     def count_in_bounds(self) -> bool:

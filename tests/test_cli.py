@@ -108,7 +108,7 @@ class TestPoly:
 
     def test_size_limit_reports_cap(self, capsys):
         assert run(["poly", "--n", "6"]) == 2
-        assert "cap" in capsys.readouterr().err
+        assert "cap of 5" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -130,6 +130,17 @@ class TestCount:
         assert "monomial_count\t9" in out
         assert "max_abs_coefficient\t1" in out
         assert "bounds\tOK" in out
+
+    def test_n10_frozen(self, capsys):
+        assert run(["count", "--n", "10"]) == 0
+        out = capsys.readouterr().out
+        assert "monomial_count\t466307896816209\n" in out
+        assert "max_abs_coefficient\t525\n" in out
+        assert "bounds\tOK" in out
+
+    def test_size_limit_reports_cap(self, capsys):
+        assert run(["count", "--n", "41"]) == 2
+        assert "cap of 40" in capsys.readouterr().err
 
 
 class TestSens:

@@ -1,20 +1,27 @@
 """Polynomial-space tests: enumeration, orbit counting, bounds, serialization.
 
 Pinned values (121 monomials at n=3, 2721 at n=4, max |a*| = 4 at n=4) were
-derived from the subset-lattice inversion table and frozen here.
+derived from the subset-lattice inversion table and frozen here.  Sequence
+enumeration is the oracle of the transfer-matrix counts, and the scan of all
+2^(n^2) edge sets (`mask_scan_materialize`) the oracle of the orbit
+expansion in `materialize`.
 """
 
 import math
+import random
 
 import pytest
 
 from bpmdual._errors import DimensionMismatchError, SizeLimitError
 from bpmdual.bigraph import BipartiteGraph, all_graphs
-from bpmdual.coeff import binomial
+from bpmdual.coeff import binomial, dual_coefficient, sequence_coefficient
 from bpmdual.oracle import bpm_star_value, coefficient_table
 from bpmdual.ordered import RepresentingSequence, is_degenerate, is_totally_ordered
 from bpmdual.polyspace import (
+    COUNT_N_MAX,
+    MATERIALIZE_N_MAX,
     DualPolynomial,
+    _sequence_dp,
     bound_report,
     enumerate_sequences,
     evaluate,
@@ -27,6 +34,16 @@ from bpmdual.polyspace import (
 
 def seq(n, *pairs):
     return RepresentingSequence(n, tuple(pairs))
+
+
+def mask_scan_materialize(n):
+    """The polynomial from the closed form on every one of the 2^(n^2) edge sets."""
+    terms = {}
+    for mask in range(1 << (n * n)):
+        c = dual_coefficient(BipartiteGraph.from_mask(n, mask))
+        if c:
+            terms[mask] = c
+    return DualPolynomial(n, terms)
 
 
 class TestEnumerateSequences:
@@ -111,6 +128,27 @@ class TestMonomialCount:
         assert math.factorial(n) ** 2 <= count <= (n + 2) ** (2 * n + 2)
 
 
+class TestSequenceDP:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_enumeration(self, n):
+        seqs = list(enumerate_sequences(n))
+        count = sum(labeled_count(s) for s in seqs if sequence_coefficient(s))
+        top = max(abs(sequence_coefficient(s)) for s in seqs)
+        assert _sequence_dp(n) == (count, top)
+
+    def test_bounds_up_to_cap(self):
+        for n in range(2, COUNT_N_MAX + 1):
+            count, top = _sequence_dp(n)
+            assert math.factorial(n) ** 2 <= count <= (n + 2) ** (2 * n + 2), n
+            assert binomial(n - 1, n // 2) <= top <= 1 << (2 * n), n
+
+    def test_size_limit(self):
+        with pytest.raises(SizeLimitError):
+            monomial_count(COUNT_N_MAX + 1)
+        with pytest.raises(SizeLimitError):
+            max_abs_coefficient(COUNT_N_MAX + 1)
+
+
 class TestMaxAbsCoefficient:
     def test_small_values(self):
         assert max_abs_coefficient(1) == 1
@@ -131,9 +169,20 @@ class TestMaterialize:
     def test_equals_table(self, n):
         assert materialize(n).terms == coefficient_table(n).terms
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_mask_scan(self, n):
+        assert materialize(n).terms == mask_scan_materialize(n).terms
+
+    def test_n5(self):
+        poly = materialize(5)
+        assert len(poly) == monomial_count(5) == 95161
+        rng = random.Random(5)
+        for mask in rng.sample(sorted(poly.terms), 200):
+            assert poly.terms[mask] == dual_coefficient(BipartiteGraph.from_mask(5, mask))
+
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
-            materialize(5)
+            materialize(MATERIALIZE_N_MAX + 1)
 
     def test_terms_decode_to_ordered_nondegenerate(self):
         from bpmdual.ordered import canonical_sort, representing_sequence
@@ -209,3 +258,4 @@ class TestBoundReport:
         assert report.max_abs_coefficient == 1
         assert report.count_in_bounds
         assert report.coeff_in_bounds
+        assert report.method == "transfer-matrix"
