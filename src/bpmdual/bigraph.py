@@ -8,7 +8,6 @@ internally and 1-based in every file format and CLI surface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -137,8 +136,12 @@ def complement(g: BipartiteGraph) -> BipartiteGraph:
     return BipartiteGraph(g.n, tuple(row ^ full for row in g.rows))
 
 
-def _match_rows(n: int, rows: tuple[int, ...]) -> bool:
-    """Perfect-matching test by simple augmenting-path search over row masks."""
+def _match_rows(n: int, rows: tuple[int, ...]) -> list[int] | None:
+    """One perfect matching as match_of_col (column -> row) by augmenting-path
+    search over row masks, or None when there is none."""
+    # Hall-style quick rejection: any empty row kills the matching.
+    if not all(rows):
+        return None
     match_of_col = [-1] * n
 
     def augment(i: int, visited: int) -> tuple[bool, int]:
@@ -160,52 +163,53 @@ def _match_rows(n: int, rows: tuple[int, ...]) -> bool:
     for i in range(n):
         ok, _ = augment(i, 0)
         if not ok:
-            return False
-    return True
+            return None
+    return match_of_col
 
 
 def has_perfect_matching(g: BipartiteGraph) -> bool:
     """True iff n pairwise-disjoint edges cover all 2n vertices."""
-    # Hall-style quick rejection: any empty row kills the matching.
-    if any(row == 0 for row in g.rows):
-        return False
-    return _match_rows(g.n, g.rows)
+    return _match_rows(g.n, g.rows) is not None
+
+
+def _components(g: BipartiteGraph) -> list[tuple[int, int]]:
+    """(left mask, right mask) of each connected component with a left vertex."""
+    cols = g.transpose().rows
+    seen_left = 0
+    comps = []
+    for start in range(g.n):
+        if seen_left >> start & 1:
+            continue
+        left = frontier = 1 << start
+        right = 0
+        while frontier:
+            reach_right = 0
+            while frontier:
+                i = (frontier & -frontier).bit_length() - 1
+                frontier &= frontier - 1
+                reach_right |= g.rows[i]
+            new_right = reach_right & ~right
+            right |= new_right
+            reach_left = 0
+            while new_right:
+                j = (new_right & -new_right).bit_length() - 1
+                new_right &= new_right - 1
+                reach_left |= cols[j]
+            frontier = reach_left & ~left
+            left |= frontier
+        seen_left |= left
+        comps.append((left, right))
+    return comps
 
 
 def connected_components(g: BipartiteGraph) -> int:
     """Number of components of the graph on all 2n vertices (isolated count)."""
-    n = g.n
-    seen_left = 0
+    comps = _components(g)
     seen_right = 0
-    count = 0
-    cols = g.transpose().rows
-    for start in range(n):
-        if seen_left >> start & 1:
-            continue
-        count += 1
-        frontier_left = 1 << start
-        frontier_right = 0
-        seen_left |= frontier_left
-        while frontier_left or frontier_right:
-            reach_right = 0
-            fl = frontier_left
-            while fl:
-                i = (fl & -fl).bit_length() - 1
-                fl &= fl - 1
-                reach_right |= g.rows[i]
-            frontier_right = reach_right & ~seen_right
-            seen_right |= frontier_right
-            reach_left = 0
-            fr = frontier_right
-            while fr:
-                j = (fr & -fr).bit_length() - 1
-                fr &= fr - 1
-                reach_left |= cols[j]
-            frontier_left = reach_left & ~seen_left
-            seen_left |= frontier_left
+    for _, right in comps:
+        seen_right |= right
     # Right vertices never reached are isolated components of their own.
-    count += n - seen_right.bit_count()
-    return count
+    return len(comps) + g.n - seen_right.bit_count()
 
 
 def cyclomatic_number(g: BipartiteGraph) -> int:
@@ -224,11 +228,39 @@ def _has_pm_with_forced_edge(g: BipartiteGraph, i: int, j: int) -> bool:
         return True
     colbit = 1 << j
     rows = tuple(g.rows[r] & ~colbit for r in range(n) if r != i)
-    if any(row == 0 for row in rows):
-        return False
     # Row i is replaced by a dummy accepting anything; in any matching the
     # dummy is forced onto column j, so this solves the reduced subproblem.
-    return _match_rows(n, rows + ((1 << n) - 1,))
+    return _match_rows(n, rows + ((1 << n) - 1,)) is not None
+
+
+def _alternating_reach(g: BipartiteGraph) -> tuple[list[int], list[int]] | None:
+    """One perfect matching M of g and each row's M-alternating reach.
+
+    Returns (match_of_col, reach), where bit r of reach[i] says that row r
+    is reachable from row i by steps "edge (i, j) of g, then back along M
+    to the row matched to j" (every row reaches itself); None when g has
+    no perfect matching.  An edge (i, j) lies in some perfect matching iff
+    the row matched to j reaches i (Lovasz-Plummer, Matching Theory).
+    """
+    n = g.n
+    match_of_col = _match_rows(n, g.rows)
+    if match_of_col is None:
+        return None
+    reach = []
+    for i, row in enumerate(g.rows):
+        acc = 1 << i
+        while row:
+            j = (row & -row).bit_length() - 1
+            row &= row - 1
+            acc |= 1 << match_of_col[j]
+        reach.append(acc)
+    # Warshall's transitive closure, one row mask at a time.
+    for k in range(n):
+        bit, via = 1 << k, reach[k]
+        for i in range(n):
+            if reach[i] & bit:
+                reach[i] |= via
+    return match_of_col, reach
 
 
 def is_matching_covered(g: BipartiteGraph) -> bool:
@@ -236,31 +268,25 @@ def is_matching_covered(g: BipartiteGraph) -> bool:
 
     The empty graph is not matching-covered: PM(g) must be nonempty.
     """
-    if not has_perfect_matching(g):
+    found = _alternating_reach(g)
+    if found is None:
         return False
-    for i in range(g.n):
-        r = g.rows[i]
-        while r:
-            j = (r & -r).bit_length() - 1
-            r &= r - 1
-            if not _has_pm_with_forced_edge(g, i, j):
+    match_of_col, reach = found
+    for i, row in enumerate(g.rows):
+        while row:
+            j = (row & -row).bit_length() - 1
+            row &= row - 1
+            if not reach[match_of_col[j]] >> i & 1:
                 return False
     return True
 
 
 def is_elementary(g: BipartiteGraph) -> bool:
-    """Connected and matching-covered."""
-    return connected_components(g) == 1 and is_matching_covered(g)
-
-
-@lru_cache(maxsize=None)
-def _elementary_by_mask(n: int, mask: int) -> bool:
-    return is_elementary(BipartiteGraph.from_mask(n, mask))
-
-
-@lru_cache(maxsize=None)
-def _matching_covered_by_mask(n: int, mask: int) -> bool:
-    return is_matching_covered(BipartiteGraph.from_mask(n, mask))
+    """Connected and matching-covered: every row reaches every row by
+    alternating paths of one perfect matching."""
+    found = _alternating_reach(g)
+    full = (1 << g.n) - 1
+    return found is not None and all(r == full for r in found[1])
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,12 @@ import numpy as np
 from ._errors import EmptyGraphError, PreconditionError, SizeLimitError
 from .bigraph import (
     BipartiteGraph,
-    _elementary_by_mask,
-    _matching_covered_by_mask,
+    _components,
     complement,
     cyclomatic_number,
     has_perfect_matching,
+    is_elementary,
+    is_matching_covered,
 )
 from .ordered import permitted_edges, representing_sequence
 from .polyspace import DualPolynomial
@@ -38,7 +39,9 @@ def bpm_star_value(g: BipartiteGraph) -> int:
     return 0 if has_perfect_matching(complement(g)) else 1
 
 
-@lru_cache(maxsize=None)
+# Room for all 66,066 masks with n <= 4: at 2^16 a process that mixes sizes
+# cycles the LRU through more keys than it holds and misses on every scan.
+@lru_cache(maxsize=1 << 17)
 def _star_by_mask(n: int, mask: int) -> int:
     return bpm_star_value(BipartiteGraph.from_mask(n, mask))
 
@@ -72,9 +75,8 @@ def _chi_sum_raw(g: BipartiteGraph) -> int:
     acc = 0
     sub = free
     while True:
-        h_mask = m | sub
-        if _matching_covered_by_mask(n, h_mask):
-            h = BipartiteGraph.from_mask(n, h_mask)
+        h = BipartiteGraph.from_mask(n, m | sub)
+        if is_matching_covered(h):
             acc += -1 if cyclomatic_number(h) & 1 else 1
         if sub == 0:
             break
@@ -95,38 +97,6 @@ def mc_chi_sum_coefficient(g: BipartiteGraph) -> int:
     return _chi_sum_raw(g)
 
 
-def _component_reach(g: BipartiteGraph) -> list[tuple[int, int]]:
-    """(left mask, right mask) of each connected component."""
-    n = g.n
-    cols = g.transpose().rows
-    seen_left = 0
-    comps = []
-    for start in range(n):
-        if seen_left >> start & 1:
-            continue
-        left = 1 << start
-        right = 0
-        while True:
-            new_right = 0
-            l = left
-            while l:
-                i = (l & -l).bit_length() - 1
-                l &= l - 1
-                new_right |= g.rows[i]
-            new_left = left
-            r = new_right
-            while r:
-                j = (r & -r).bit_length() - 1
-                r &= r - 1
-                new_left |= cols[j]
-            if new_left == left and new_right == right:
-                break
-            left, right = new_left, new_right
-        seen_left |= left
-        comps.append((left, right))
-    return comps
-
-
 def elementary_sum_coefficient(g: BipartiteGraph) -> int:
     """Signed count of elementary supergraphs: sum over elementary H >= G
     of (-1)^(|E(H)| - |E(G)|).
@@ -138,8 +108,7 @@ def elementary_sum_coefficient(g: BipartiteGraph) -> int:
     if n > SUPERGRAPH_N_MAX:
         raise SizeLimitError("n", n, SUPERGRAPH_N_MAX)
     full = (1 << n) - 1
-    comps = _component_reach(g)
-    if not any(left == full or right == full for left, right in comps):
+    if not any(left == full or right == full for left, right in _components(g)):
         raise PreconditionError(
             "neither bipartition lies inside a single connected component"
         )
@@ -148,7 +117,7 @@ def elementary_sum_coefficient(g: BipartiteGraph) -> int:
     acc = 0
     sub = free
     while True:
-        if _elementary_by_mask(n, m | sub):
+        if is_elementary(BipartiteGraph.from_mask(n, m | sub)):
             acc += -1 if sub.bit_count() & 1 else 1
         if sub == 0:
             return acc
@@ -168,7 +137,7 @@ def permitted_sum_coefficient(h: BipartiteGraph) -> int:
     acc = 0
     sub = pmask
     while True:
-        if _elementary_by_mask(n, m | sub):
+        if is_elementary(BipartiteGraph.from_mask(n, m | sub)):
             acc += -1 if sub.bit_count() & 1 else 1
         if sub == 0:
             return acc

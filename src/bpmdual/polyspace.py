@@ -15,7 +15,7 @@ from itertools import accumulate, combinations
 from typing import Iterator
 
 from ._errors import DimensionMismatchError, SizeLimitError
-from .bigraph import BipartiteGraph
+from .bigraph import N_MAX, BipartiteGraph
 from .coeff import binomial, f_factor, sequence_coefficient
 from .ordered import RepresentingSequence
 
@@ -52,7 +52,14 @@ class DualPolynomial:
         return sorted(self.terms.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
 
     def _mask_edges(self, mask: int) -> list[tuple[int, int]]:
-        return BipartiteGraph.from_mask(self.n, mask).edges()
+        """1-based edges of a mask; ascending bits are row-major order."""
+        n = self.n
+        edges = []
+        while mask:
+            b = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+            edges.append((b // n + 1, b % n + 1))
+        return edges
 
     def to_tsv(self) -> str:
         lines = []
@@ -65,11 +72,15 @@ class DualPolynomial:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def to_json(self) -> str:
-        terms = [
-            {"coeff": str(c), "edges": [[i, j] for i, j in self._mask_edges(mask)]}
+        # The text json.dumps(..., separators=(",", ":")) gives, written per term:
+        # building ~10^6 nested edge lists first spends most of the time in the
+        # garbage collector.
+        terms = ",".join(
+            '{"coeff":"%d","edges":[%s]}'
+            % (c, ",".join(f"[{i},{j}]" for i, j in self._mask_edges(mask)))
             for mask, c in self.sorted_items()
-        ]
-        return json.dumps({"n": self.n, "terms": terms}, separators=(",", ":"))
+        )
+        return f'{{"n":{self.n},"terms":[{terms}]}}'
 
     @staticmethod
     def _edge_bit(i: int, j: int, n: int) -> int:
@@ -97,17 +108,31 @@ class DualPolynomial:
 
     @classmethod
     def from_json(cls, text: str) -> "DualPolynomial":
+        """Parse a `to_json` dump; any other shape raises ValueError."""
         data = json.loads(text)
+        if not (isinstance(data, dict) and _is_int(data.get("n")) and 1 <= data["n"] <= N_MAX
+                and isinstance(data.get("terms"), list)):
+            raise ValueError(f'expected {{"n": 1..{N_MAX}, "terms": [...]}}')
         n = data["n"]
         terms: dict[int, int] = {}
         for t in data["terms"]:
+            if not (isinstance(t, dict) and isinstance(t.get("edges"), list)
+                    and (isinstance(t.get("coeff"), str) or _is_int(t.get("coeff")))):
+                raise ValueError(f'expected a term {{"coeff": ..., "edges": [...]}}, got {t!r}')
             mask = 0
-            for i, j in t["edges"]:
-                mask |= cls._edge_bit(i, j, n)
+            for e in t["edges"]:
+                if not (isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))):
+                    raise ValueError(f"expected an edge [i, j] of integers, got {e!r}")
+                mask |= cls._edge_bit(e[0], e[1], n)
             c = int(t["coeff"])
             if c:
                 terms[mask] = c
         return cls(n, terms)
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def evaluate(p: DualPolynomial, x: BipartiteGraph) -> int:
@@ -140,7 +165,6 @@ def enumerate_sequences(
 
 
 def _multinomial(n: int, parts: list[int]) -> int:
-    assert sum(parts) == n
     out = math.factorial(n)
     for p in parts:
         out //= math.factorial(p)

@@ -1,5 +1,6 @@
 """Graph type and predicate tests, including the exhaustive small-n invariants."""
 
+import random
 from itertools import permutations
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from bpmdual._errors import SizeLimitError
 from bpmdual.bigraph import (
     BipartiteGraph,
+    _has_pm_with_forced_edge,
     all_graphs,
     complement,
     connected_components,
@@ -193,6 +195,63 @@ class TestElementary:
         assert is_elementary(K22)
         assert not is_elementary(PM2)
         assert is_elementary(BipartiteGraph.complete(1))
+
+
+def per_edge_matching_covered(graph):
+    """Test-local definition: a perfect matching exists and every edge lies
+    in one, asked edge by edge."""
+    return has_perfect_matching(graph) and all(
+        _has_pm_with_forced_edge(graph, i - 1, j - 1) for i, j in graph.edges()
+    )
+
+
+def per_edge_elementary(graph):
+    return connected_components(graph) == 1 and per_edge_matching_covered(graph)
+
+
+def seeded_graphs(n, count, seed):
+    """Half planted perfect matchings with sparse extra edges (often not
+    matching-covered), half uniform graphs of random density."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        if rng.random() < 0.5:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            mask = sum(1 << (i * n + perm[i]) for i in range(n))
+            density = rng.uniform(0.0, 0.5)
+        else:
+            mask = 0
+            density = rng.uniform(0.1, 0.9)
+        for b in range(n * n):
+            if rng.random() < density:
+                mask |= 1 << b
+        yield BipartiteGraph.from_mask(n, mask)
+
+
+class TestAlternatingReach:
+    """One perfect matching plus alternating reachability equals the
+    per-edge definitions of both predicates."""
+
+    @staticmethod
+    def check(graphs):
+        seen = set()
+        for graph in graphs:
+            covered = per_edge_matching_covered(graph)
+            elementary = per_edge_elementary(graph)
+            assert is_matching_covered(graph) == covered, graph
+            assert is_elementary(graph) == elementary, graph
+            seen.add((covered, elementary))
+        return seen
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_exhaustive(self, n):
+        self.check(all_graphs(n))
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_seeded(self, n):
+        seen = self.check(seeded_graphs(n, 1500, seed=n))
+        # every outcome is exercised, including matching-covered but disconnected
+        assert seen == {(False, False), (True, False), (True, True)}
 
 
 class TestHetyei:

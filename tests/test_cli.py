@@ -1,9 +1,11 @@
 """CLI surface tests, driven through run(argv) with captured output."""
 
+import hashlib
 import json
 
 import pytest
 
+from bpmdual import cli
 from bpmdual.cli import run
 from bpmdual.polyspace import DualPolynomial
 
@@ -58,8 +60,7 @@ class TestCoeff:
     def test_methods_agree_on_sampled_n3_graphs(self, write_graph, capsys):
         import random
 
-        from bpmdual.bigraph import BipartiteGraph
-        from bpmdual.oracle import _component_reach
+        from bpmdual.bigraph import BipartiteGraph, _components
 
         rng = random.Random(11)
         for _ in range(8):
@@ -73,7 +74,7 @@ class TestCoeff:
                 assert run(["coeff", "--graph", path, "--method", method]) == 0
                 outputs[method] = capsys.readouterr().out.strip()
             full = (1 << 3) - 1
-            if any(l == full or r == full for l, r in _component_reach(graph)):
+            if any(l == full or r == full for l, r in _components(graph)):
                 assert run(["coeff", "--graph", path, "--method", "elemsum"]) == 0
                 outputs["elemsum"] = capsys.readouterr().out.strip()
             assert len(set(outputs.values())) == 1, (graph, outputs)
@@ -110,6 +111,19 @@ class TestPoly:
         assert run(["poly", "--n", "6"]) == 2
         assert "cap of 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "fmt, sha256",
+        [
+            ("tsv", "373e08ad24b7a9f11fb03e269e8423589666881a678ac3a9ff9b5e9487b11cd3"),
+            ("json", "b13c5506c18235eb7e1f3d57f2cbbf2de2481e17e851bf9d5abe150010c2a3f6"),
+        ],
+        ids=["tsv", "json"],
+    )
+    def test_n5_dump_frozen(self, tmp_path, fmt, sha256):
+        out = tmp_path / f"poly.{fmt}"
+        assert run(["poly", "--n", "5", "--format", fmt, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
 
 class TestVerify:
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -121,6 +135,28 @@ class TestVerify:
 
     def test_size_limit(self, capsys):
         assert run(["verify", "--n", "5"]) == 2
+
+    def test_n5_huge_passes(self, capsys):
+        assert run(["verify", "--n", "5", "--huge"]) == 0
+        assert capsys.readouterr().out == (
+            "33554432 coefficients compared against the closed form; 0 mismatches\n"
+            "33554432 evaluation points checked against the matching oracle; 0 mismatches\n"
+            "OK\n"
+        )
+
+    def test_flipped_coefficient_fails(self, monkeypatch, capsys):
+        real = cli.materialize
+
+        def flipped(n):
+            poly = real(n)
+            mask = max(poly.terms)
+            return type(poly)(n, {**poly.terms, mask: -poly.terms[mask]})
+
+        monkeypatch.setattr(cli, "materialize", flipped)
+        assert run(["verify", "--n", "3"]) == 1
+        out = capsys.readouterr().out
+        assert "512 coefficients compared against the closed form; 1 mismatches" in out
+        assert out.endswith("FAIL\n")
 
 
 class TestCount:
@@ -197,6 +233,35 @@ class TestEval:
         assert run(["poly", "--n", "2", "--format", "json", "--out", str(poly_file)]) == 0
         assert run(["eval", "--graph", path_graph, "--poly", str(poly_file)]) == 0
         assert capsys.readouterr().out.strip() == "1"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 2}',
+            '{"n": 2, "terms": 5}',
+            '{"n": 2, "terms": [{"edges": [[1, 1]]}]}',
+            '{"n": 2, "terms": [{"coeff": "1"}]}',
+            '{"n": 2, "terms": [{"coeff": "1", "edges": [["a", 1]]}]}',
+            '{"n": 2, "terms": [{"coeff": "1", "edges": [[1, 2, 3]]}]}',
+            '{"n": 2, "terms": [{"coeff": 1.5, "edges": []}]}',
+            '{"n": 2, "terms": [{"coeff": "x", "edges": []}]}',
+            '{"n": 2, "terms": [7]}',
+            '{"n": "2", "terms": []}',
+            '{"n": true, "terms": []}',
+            '{"n": 0, "terms": []}',
+            '{"n": 2, "terms": [{"coeff": "1", "edges": [[3, 1]]}]}',
+            '{"n": 2, "terms": [',
+        ],
+    )
+    def test_malformed_json_exits_2(self, tmp_path, k22, capsys, text):
+        poly_file = tmp_path / "bad.json"
+        poly_file.write_text(text)
+        assert run(["eval", "--graph", k22, "--poly", str(poly_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert "input has n=2" not in captured.err
 
 
 class TestUsage:
