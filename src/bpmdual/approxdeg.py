@@ -118,9 +118,20 @@ def _log2_fraction(fr: Fraction) -> float:
 # Node sets: exact values and the Chebyshev seed
 
 
+def _product(factors: list[int]) -> int:
+    """Product by a balanced pairwise tree, so that each big-integer
+    multiplication pairs operands of similar size."""
+    while len(factors) > 1:
+        paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
+        if len(factors) % 2:
+            paired.append(factors[-1])
+        factors = paired
+    return factors[0] if factors else 1
+
+
 def _abs_denominators(xs: Sequence[int]) -> list[int]:
     """|prod_{j != i} (x_i - x_j)| for each node, as exact integers."""
-    return [abs(math.prod([xi - xj for xj in xs if xj != xi])) for xi in xs]
+    return [abs(_product([xi - xj for xj in xs if xj != xi])) for xi in xs]
 
 
 def _value_exact(m: int, xs: Sequence[int], abs_d: Sequence[int]) -> Fraction:
@@ -167,18 +178,21 @@ def _chebyshev_int_points(right_end: int, count: int) -> list[int]:
 class _Exchange:
     """Single-point exchange minimizing V(X).
 
-    Only float log terms are maintained across swaps; the exact integer
-    denominators are recomputed lazily whenever a decision falls inside the
-    float margin or a certificate is required, so the descent itself runs
-    at float speed.
+    Next to the sorted node list it keeps float state: the nodes as float64
+    (`_xf`), the log of each term of V(X) and the running sum of
+    log(m - x_j).  A swap updates every term in place with two O(d) log
+    vectors and shifts one slot into sorted order, and every float scan
+    re-derives that state from its own d x d row sums, so rounding drift
+    never outlives one batch of swaps.  The exact integer denominators are
+    recomputed lazily whenever a decision falls inside the float margin or
+    a certificate is required, so the descent itself runs at float speed.
     """
 
     def __init__(self, m: int, xs: Sequence[int]):
         self.m = m
         self.xs = sorted(xs)
         self._abs_d: list[int] | None = None
-        self._swaps_since_refresh = 0
-        self._refresh_logs()
+        self._derive_logs()
 
     @property
     def abs_d(self) -> list[int]:
@@ -186,13 +200,18 @@ class _Exchange:
             self._abs_d = _abs_denominators(self.xs)
         return self._abs_d
 
-    def _refresh_logs(self) -> None:
+    def _derive_logs(self) -> np.ndarray:
+        """Recompute the float state from the node list; returns the row
+        sums log |D_i| = sum_{j != i} log |x_i - x_j|."""
         xf = np.array(self.xs, dtype=np.float64)
         diff = np.abs(xf[:, None] - xf[None, :])
         np.fill_diagonal(diff, 1.0)
-        log_abs_d = np.log(diff).sum(axis=1)
+        log_d = np.log(diff).sum(axis=1)
         log_m = np.log(self.m - xf)
-        self._term_logs = log_m.sum() - log_m - log_abs_d
+        self._xf = xf
+        self._log_m_sum = float(log_m.sum())
+        self._term_logs = self._log_m_sum - log_m - log_d
+        return log_d
 
     def value_exact(self) -> Fraction:
         return _value_exact(self.m, self.xs, self.abs_d)
@@ -210,18 +229,17 @@ class _Exchange:
         overflows; the error bound covers float rounding of the scaled sum.
         A stride > 1 samples every stride-th free point (cheap bulk passes).
         """
-        m = self.m
+        # Re-deriving here bounds the drift of the swap updates: between two
+        # scans at most one batch of swaps (no more than the free points)
+        # accumulates, and every verdict inside _LOG_MARGIN goes to exact.
+        log_d = self._derive_logs()
         xs = np.array(self.xs, dtype=np.int64)
-        free = np.setdiff1d(np.arange(m, dtype=np.int64), xs, assume_unique=True)
+        free = np.setdiff1d(np.arange(self.m, dtype=np.int64), xs, assume_unique=True)
         if stride > 1:
             free = free[:: stride]
         if free.size == 0:
             return free, np.empty(0), np.empty(0), np.empty(0)
-        xf = xs.astype(np.float64)
-        diff = np.abs(xf[:, None] - xf[None, :])
-        np.fill_diagonal(diff, 1.0)
-        log_d = np.log(diff).sum(axis=1)
-        dist = free[:, None].astype(np.float64) - xf[None, :]
+        dist = free[:, None].astype(np.float64) - self._xf[None, :]
         log_abs_dist = np.log(np.abs(dist))
         log_omega = log_abs_dist.sum(axis=1)
         # term(y, i) = |omega(y)| / (|y - x_i| * |D_i|) signed by sign(y - x_i);
@@ -278,30 +296,31 @@ class _Exchange:
         return [(y, s) for _, y, s in candidates], max(float(log_hi.max()), 0.0)
 
     def _replace(self, pos: int, y: int) -> None:
-        """Swap node at index pos for grid point y; float-only bookkeeping."""
-        xr = self.xs[pos]
-        self.xs.pop(pos)
+        """Swap node at index pos for grid point y; float-only bookkeeping
+        in O(d) vector work."""
+        xr = self.xs.pop(pos)
         ins = bisect_left(self.xs, y)
         self.xs.insert(ins, y)
         self._abs_d = None
-        self._swaps_since_refresh += 1
-        if self._swaps_since_refresh >= 128:
-            self._swaps_since_refresh = 0
-            self._refresh_logs()
-            return
-        logs = np.delete(self._term_logs, pos)
-        others = np.array([x for x in self.xs if x != y], dtype=np.float64)
-        delta = (
-            math.log(self.m - y)
-            - math.log(self.m - xr)
-            - np.log(np.abs(others - y))
-            + np.log(np.abs(others - xr))
-        )
-        logs = logs + delta
-        xf = np.array(self.xs, dtype=np.float64)
-        log_m = np.log(self.m - xf)
-        own = log_m.sum() - math.log(self.m - y) - np.log(np.abs(others - y)).sum()
-        self._term_logs = np.insert(logs, ins, own)
+        xf, logs = self._xf, self._term_logs
+        log_y = np.log(np.abs(xf - y))
+        gap_r = np.abs(xf - xr)
+        gap_r[pos] = 1.0
+        log_m_y = math.log(self.m - y)
+        log_m_r = math.log(self.m - xr)
+        # every other term gains log(m - y) - log|x_j - y| and loses the
+        # same for x_r; slot pos is overwritten by the new node's own term
+        logs += np.log(gap_r) - log_y + (log_m_y - log_m_r)
+        own = self._log_m_sum - log_m_r - (log_y.sum() - log_y[pos])
+        self._log_m_sum += log_m_y - log_m_r
+        if ins > pos:
+            logs[pos:ins] = logs[pos + 1 : ins + 1]
+            xf[pos:ins] = xf[pos + 1 : ins + 1]
+        elif ins < pos:
+            logs[ins + 1 : pos + 1] = logs[ins:pos]
+            xf[ins + 1 : pos + 1] = xf[ins:pos]
+        logs[ins] = own
+        xf[ins] = y
 
     def swap_toward(self, y: int, s: int, float_only: bool = False) -> bool:
         """Exchange y (where sign(q(y)) = s) into the node set so that V
@@ -310,8 +329,8 @@ class _Exchange:
         Dropping the alternation neighbour whose sign matches s keeps the
         data alternating, and then V falls by (|q(y)| - 1) |L_y(m)| > 0, so
         for a fresh violation the first drop always succeeds.  The other
-        neighbour covers batch entries whose sign went stale; returns False
-        when neither lowers V.
+        neighbour covers batch entries whose sign went stale; returns False,
+        with the state restored, when neither lowers V.
         """
         before_log = self.logv()
         before_exact: Fraction | None = None
@@ -326,6 +345,8 @@ class _Exchange:
             order = [d, 0] if s == 1 else [0, d]
         saved_xs = list(self.xs)
         saved_logs = self._term_logs.copy()
+        saved_xf = self._xf.copy()
+        saved_log_m_sum = self._log_m_sum
         for drop in order:
             self._replace(drop, y)
             after_log = self.logv()
@@ -338,21 +359,23 @@ class _Exchange:
                     )
                 if self.value_exact() < before_exact:
                     return True
-            self.xs = list(saved_xs)
+            self.xs[:] = saved_xs
             self._abs_d = None
-            self._term_logs = saved_logs.copy()
+            self._term_logs[:] = saved_logs
+            self._xf[:] = saved_xf
+            self._log_m_sum = saved_log_m_sum
         return False
 
     def exchange_batch(self, violations: list[tuple[int, int]], float_only: bool) -> bool:
         """Swap in the violations of one scan, skipping entries gone stale;
         True if V went down."""
-        node_set = set(self.xs)
+        xs = self.xs
         progressed = False
         # float-only batches are capped: entries go stale as swaps land
         for y, s in violations[: 256 if float_only else None]:
-            if y not in node_set and self.swap_toward(y, s, float_only):
+            i = bisect_left(xs, y)
+            if (i == len(xs) or xs[i] != y) and self.swap_toward(y, s, float_only):
                 progressed = True
-                node_set = set(self.xs)
         return progressed
 
 

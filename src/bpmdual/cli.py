@@ -27,7 +27,7 @@ from .oracle import (
     zeta_transform,
 )
 from .ordered import canonical_sort, is_totally_ordered
-from .polyspace import DualPolynomial, bound_report, evaluate, materialize
+from .polyspace import DualPolynomial, bound_report, evaluate, materialize, tsv_side_size
 from .sensitivity import construct_path_input, sensitivity_at
 
 CAPS_NOTE = (
@@ -162,8 +162,15 @@ def _cmd_sens(args) -> int:
 def _cmd_apxdeg(args) -> int:
     import warnings
 
-    from .approxdeg import _log2_fraction, assemble_bpm_approximant, bpm_degree_bound
+    from .approxdeg import (
+        ASSEMBLE_N_MAX,
+        _log2_fraction,
+        assemble_bpm_approximant,
+        bpm_degree_bound,
+    )
 
+    if args.assemble and args.n > ASSEMBLE_N_MAX:
+        raise SizeLimitError("n", args.n, ASSEMBLE_N_MAX)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         report = bpm_degree_bound(args.n, args.eps)
@@ -203,7 +210,7 @@ def _cmd_eval(args) -> int:
     if text.lstrip().startswith("{"):
         poly = DualPolynomial.from_json(text)
     else:
-        poly = DualPolynomial.from_tsv(text, g.n)
+        poly = DualPolynomial.from_tsv(text, tsv_side_size(text))
     print(evaluate(poly, g))
     return 0
 

@@ -135,6 +135,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def tsv_side_size(text: str) -> int:
+    """Side size n of a TSV dump, which does not store it: the lowest-degree
+    terms of BPM*_n are its 2n full rows and columns, each of n edges."""
+    sizes = [line.partition("\t")[2].count("(") for line in text.splitlines() if line.strip()]
+    if not sizes or min(sizes) < 1:
+        raise ValueError("a TSV dump needs edge terms and no constant term to fix its n")
+    return min(sizes)
+
+
 def evaluate(p: DualPolynomial, x: BipartiteGraph) -> int:
     """Multilinear evaluation at a 0/1 input: sum coefficients of contained terms."""
     if p.n != x.n:

@@ -1,9 +1,12 @@
 """Approximation-degree tests: exact feasibility decisions, witnesses,
 duality, and the assembled end-to-end approximant."""
 
+import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from bpmdual._errors import DomainError, SizeLimitError
@@ -11,6 +14,7 @@ from bpmdual.approxdeg import (
     BpmStarApproximant,
     DegreeBoundReport,
     UnivariatePolynomial,
+    _Exchange,
     _Solver,
     _abs_denominators,
     _min_feasible_degree,
@@ -127,6 +131,47 @@ class TestMinAndApproxDegree:
     def test_out_of_regime_warns(self):
         with pytest.warns(UserWarning):
             min_and_approx_degree(4, Fraction(1, 10**9))
+
+
+def float_state(engine):
+    return list(engine.xs), engine._term_logs.copy(), engine._xf.copy(), engine._log_m_sum
+
+
+class TestExchangeBookkeeping:
+    @pytest.mark.parametrize("m, d", [(676, 506), (64, 10)])
+    def test_replace_tracks_recomputation(self, m, d):
+        rng = random.Random(m + d)
+        engine = _Exchange(m, rng.sample(range(m), d + 1))
+        for _ in range(2000):
+            free = sorted(set(range(m)) - set(engine.xs))
+            engine._replace(rng.randrange(d + 1), rng.choice(free))
+        assert engine.xs == sorted(set(engine.xs)) and len(engine.xs) == d + 1
+        assert np.array_equal(engine._xf, np.array(engine.xs, dtype=np.float64))
+        fresh = _Exchange(m, engine.xs)
+        np.testing.assert_allclose(engine._term_logs, fresh._term_logs, rtol=0, atol=1e-9)
+        assert engine._log_m_sum == pytest.approx(fresh._log_m_sum, rel=0, abs=1e-9)
+
+    def test_failed_swap_restores_state(self):
+        # no swap lowers V below the optimum, so every attempt must fail
+        m, d = 64, 10
+        engine = _Exchange(m, _Solver(m, Fraction(2)).probe(d, optimum=True).nodes)
+        before = float_state(engine)
+        for y in sorted(set(range(m)) - set(engine.xs)):
+            for s in (1, -1):
+                for float_only in (False, True):
+                    assert not engine.swap_toward(y, s, float_only)
+                    xs, logs, xf, log_m_sum = float_state(engine)
+                    assert xs == before[0]
+                    assert np.array_equal(logs, before[1])
+                    assert np.array_equal(xf, before[2])
+                    assert log_m_sum == before[3]
+
+    def test_abs_denominators_match_naive_product(self):
+        rng = random.Random(5)
+        for size in [1, 2, 3, 4, 7, 8, 33, 100]:
+            xs = sorted(rng.sample(range(4096), size))
+            naive = [abs(math.prod(xi - xj for xj in xs if xj != xi)) for xi in xs]
+            assert _abs_denominators(xs) == naive
 
 
 class TestBuildAndApproximant:

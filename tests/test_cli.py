@@ -220,6 +220,12 @@ class TestApxdeg:
         assert exc.value.code == 2
         assert "expected a rational p/q" in capsys.readouterr().err
 
+    def test_assemble_cap_before_output(self, capsys):
+        assert run(["apxdeg", "--n", "4", "--eps", "1/3", "--assemble"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: n=4 exceeds the configured cap of 3"]
+
 
 class TestEval:
     def test_round_trip_tsv(self, tmp_path, k22, capsys):
@@ -227,6 +233,17 @@ class TestEval:
         assert run(["poly", "--n", "2", "--out", str(poly_file)]) == 0
         assert run(["eval", "--graph", k22, "--poly", str(poly_file)]) == 0
         assert capsys.readouterr().out.strip() == "1"
+
+    @pytest.mark.parametrize("dump_n, graph_text", [(2, "3\n110\n000\n000\n"), (3, PATH_TEXT)])
+    def test_tsv_of_another_size_exits_2(self, tmp_path, write_graph, capsys, dump_n, graph_text):
+        poly_file = tmp_path / "p.tsv"
+        assert run(["poly", "--n", str(dump_n), "--out", str(poly_file)]) == 0
+        graph = write_graph(graph_text)
+        assert run(["eval", "--graph", graph, "--poly", str(poly_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: DimensionMismatchError: ")
+        assert f"polynomial has n={dump_n}" in captured.err
 
     def test_round_trip_json(self, tmp_path, path_graph, capsys):
         poly_file = tmp_path / "p.json"

@@ -29,6 +29,7 @@ from bpmdual.polyspace import (
     materialize,
     max_abs_coefficient,
     monomial_count,
+    tsv_side_size,
 )
 
 
@@ -243,6 +244,15 @@ class TestSerialization:
     def test_rejects_stored_zero(self):
         with pytest.raises(ValueError):
             DualPolynomial(2, {1: 0})
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_tsv_side_size(self, n):
+        assert tsv_side_size(materialize(n).to_tsv()) == n
+
+    @pytest.mark.parametrize("text", ["", "\n", "1\t-\n", "1\t-\n-1\t(1,1)\n"])
+    def test_tsv_side_size_needs_edge_terms(self, text):
+        with pytest.raises(ValueError):
+            tsv_side_size(text)
 
     def test_tsv_rejects_out_of_range_edges(self):
         # a dump made at larger n must not silently re-key under smaller n
