@@ -73,7 +73,7 @@ def measure(src: Path, sizes: list[int], repeats: int) -> tuple[list[dict], str]
                         "repeats": len(seconds), "seconds": [round(s, 3) for s in seconds],
                         "median_s": round(median, 3), "q1_s": round(q1, 3),
                         "q3_s": round(q3, 3)})
-    return results, runs[-1]["numpy"]
+    return results, samples[sizes[0]][0]["numpy"]
 
 
 def main(argv=None) -> int:
