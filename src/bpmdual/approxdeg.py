@@ -7,23 +7,18 @@ shows degree d < m suffices exactly when
     nu*(d) = max{ q(m) : deg q <= d, |q(k)| <= 1 for k = 0..m-1 }
 
 reaches (1 - eps)/eps; degree m always suffices (exact interpolation).
-Writing the optimum over (d+1)-point node sets X in the grid,
+For a (d+1)-point node set X in the grid, let q interpolate alternating
++-1 data on X; then V(X) = q(m) = sum_i prod_{j != i} (m - x_j)/|x_i - x_j|
+bounds nu*(d) from above, and q/M, with M the largest |q| on the grid, is
+feasible with value V(X)/M.  So V(X) < target proves d infeasible and
+V(X)/M >= target proves it feasible; at the optimal X, M = 1.
 
-    nu*(d) = min_X V(X),    V(X) = sum_i prod_{j != i} (m - x_j)/|x_i - x_j|,
-
-because any feasible q has q(m) = sum_i L_i(m) q(x_i) <= V(X).  A set X is
-optimal exactly when its alternating +-1 interpolant stays within [-1, 1]
-on the whole grid, which makes that interpolant feasible with value V(X).
-
-The minimum is found by single-point exchange, the dual-simplex
-specialization of the feasibility LP.  Double precision cannot represent
-the epsilon values the matching bound feeds in (they reach 1e-275), so the
-descent runs on float logarithms and every decision inside the float
-margin, plus the final optimality certificate, is settled in exact
-big-integer/rational arithmetic.  Above the exchange size cap the same
-descent runs without the exact end-game; its upper bounds keep
-"infeasible" verdicts rigorous and the feasible side is reported
-uncertified.
+Single-point exchange lowers V(X) until one of the two holds.  Doubles
+cannot hold V(X) or the targets (they pass 2^900), so every verdict rests
+on one enclosure: q at the scanned grid points and V(X) are formed as
+float mantissa times 2^e, each step one correctly rounded IEEE operation,
+under Higham's gamma_k error bound.  What the bound cannot decide is
+settled in exact big-integer/rational arithmetic.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -46,15 +41,17 @@ from .polyspace import materialize
 
 AND_M_MAX = 256  # direct-call cap; the degree-bound pipeline may exceed it
 AND_M_HARD_MAX = 4096
-EXCHANGE_M_MAX = 1024  # largest grid the certified exchange engine runs on
 BPM_N_MAX = 64
 ASSEMBLE_N_MAX = 3
 DEFAULT_TOLERANCE = Fraction(1, 10**12)
 
 _EXCHANGE_MAX_ITER = 4000
-_LOG_MARGIN = 1e-6  # natural-log slack under which verdicts escalate to exact
+_LOG_MARGIN = 1e-9  # natural-log slack under which a swap asks the enclosure
 _WARM_START_MAX = 192  # farthest exchanged degree a probe adapts instead of reseeding
 _MEMO_SIZE = 1024
+_BULK_STRIDE = 4  # a bulk scan samples every fourth free point
+_BLOCK = 256  # grid points enclosed per vectorized block
+_U = 2.0**-53  # unit roundoff of IEEE double
 
 
 # ---------------------------------------------------------------------------
@@ -63,28 +60,32 @@ _MEMO_SIZE = 1024
 
 @dataclass(frozen=True)
 class UnivariatePolynomial:
-    """Exact polynomial in the Chebyshev basis mapped onto [0, m]."""
+    """Exact polynomial given by its values at degree + 1 distinct integer
+    nodes in [0, m]; evaluated in Lagrange form."""
 
     m: int
-    coefficients: tuple[Fraction, ...]
+    nodes: tuple[int, ...]
+    values: tuple[Fraction, ...]
 
     @property
     def degree(self) -> int:
-        last = 0
-        for i, c in enumerate(self.coefficients):
-            if c != 0:
-                last = i
-        return last
+        return len(self.nodes) - 1
+
+    @cached_property
+    def _weights(self) -> list[Fraction]:
+        """v_i / prod_{j != i} (x_i - x_j), the barycentric weights times the data."""
+        return [
+            Fraction(v) / math.prod([xi - xj for xj in self.nodes if xj != xi])
+            for xi, v in zip(self.nodes, self.values)
+        ]
 
     def evaluate(self, t) -> Fraction:
-        """Clenshaw evaluation at a rational point; exact."""
-        u = 2 * Fraction(t) / self.m - 1
-        b1 = Fraction(0)
-        b2 = Fraction(0)
-        for c in reversed(self.coefficients[1:]):
-            b1, b2 = c + 2 * u * b1 - b2, b1
-        c0 = self.coefficients[0] if self.coefficients else Fraction(0)
-        return c0 + u * b1 - b2
+        """p(t) = omega(t) sum_i w_i / (t - x_i) at a rational point; exact."""
+        t = Fraction(t)
+        if t in self.nodes:
+            return Fraction(self.values[self.nodes.index(t)])
+        omega = math.prod([t - x for x in self.nodes])
+        return omega * sum(w / (t - x) for x, w in zip(self.nodes, self._weights))
 
     def integer_values(self) -> list[Fraction]:
         return [self.evaluate(k) for k in range(self.m + 1)]
@@ -100,18 +101,11 @@ def epsilon_prime(n: int, eps) -> Fraction:
     return eps / (1 << (2 * n)) / Fraction((n + 2) ** (2 * n + 2))
 
 
-def _log2_int(v: int) -> float:
-    b = v.bit_length()
-    if b <= 53:
-        return math.log2(v)
-    return math.log2(v >> (b - 53)) + (b - 53)
-
-
 def _log2_fraction(fr: Fraction) -> float:
     """log2 of a positive rational without overflowing float conversion."""
     if fr <= 0:
         raise ValueError("positive value required")
-    return _log2_int(fr.numerator) - _log2_int(fr.denominator)
+    return math.log2(fr.numerator) - math.log2(fr.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -172,26 +166,139 @@ def _chebyshev_int_points(right_end: int, count: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# The exchange engine (exact-certified for m <= EXCHANGE_M_MAX)
+# The proven enclosure of q and V(X)
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u): the relative error of k rounded
+    multiplications and divisions, and of summing k + 1 terms per |term|."""
+    return k * _U / (1 - k * _U)
+
+
+def _row_products(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row products of a 2-D array of integers in [1, 4096], as mantissa in
+    [0.5, 1) times 2^exponent.  Groups of four multiply exactly (below
+    2^48), frexp splits off exponents exactly, and mantissas multiply in
+    chunks of 64, which cannot underflow: a row of k factors takes at most
+    k - 1 correctly rounded multiplications."""
+    rows = len(a)
+    a = _padded(a, 4)
+    a = a[:, 0::4] * a[:, 1::4] * a[:, 2::4] * a[:, 3::4]
+    exp = np.zeros(rows, dtype=np.int64)
+    while True:
+        a, e = np.frexp(a)
+        exp += e.sum(axis=1)
+        if a.shape[1] == 1:
+            return a[:, 0], exp
+        a = _padded(a, 64).reshape(rows, -1, 64).prod(axis=2)
+
+
+def _padded(a: np.ndarray, k: int) -> np.ndarray:
+    """a with columns of ones appended up to a multiple of k."""
+    out = np.ones((len(a), -(-a.shape[1] // k) * k))
+    out[:, : a.shape[1]] = a
+    return out
+
+
+def _float_denominators(xf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|D_i| = prod_{j != i} |x_i - x_j| as mantissa and exponent."""
+    mants, exps = [], []
+    for start in range(0, len(xf), _BLOCK):
+        dist = np.abs(xf[start : start + _BLOCK, None] - xf[None, :])
+        rows = np.arange(len(dist))
+        dist[rows, rows + start] = 1.0
+        mant, exp = _row_products(dist)
+        mants.append(mant)
+        exps.append(exp)
+    return np.concatenate(mants), np.concatenate(exps)
+
+
+def _enclose(
+    xf: np.ndarray, dm: np.ndarray, de: np.ndarray, ys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Proven bounds (s, err, e): q(y) lies in [s - err, s + err] * 2^e for
+    each y in ys off the sorted nodes xf, q the interpolant of alternating
+    data ending with +1; |D_i| = dm * 2^de from `_float_denominators`.
+
+    Each term |t_i| = |omega(y)| / |y - x_i| / |D_i| takes d roundings for
+    omega, d - 1 for |D_i|, one for 1/dm_i and two for the division and
+    the product, so |t_i^ - t_i| <= gamma_{2d+2} |t_i| (Higham, lemma
+    3.1); summing d + 1 signed terms adds gamma_d sum|t_i^| (ch. 4), in all
+    (gamma_{2d+2}(1 + gamma_d) + gamma_d) sum|t_i|.  Terms are scaled by
+    2^-e, e the largest exponent, and those that underflow to subnormals
+    lose at most 2^-1074 each.
+    """
+    d = len(xf) - 1
+    # the factor 1 + 2^-20 covers using the computed sum of |t_i^| for the
+    # exact one (a (1 - gamma)^-2 factor) and the rounding of `err` itself
+    coeff = (_gamma(2 * d + 2) * (1 + _gamma(d)) + _gamma(d)) * (1 + 2.0**-20)
+    underflow = (d + 1) * 2.0**-1073
+    low = de.min()
+    inv = np.ldexp(1.0 / dm, low - de)
+    ss, errs, es = [], [], []
+    for start in range(0, len(ys), _BLOCK):
+        y = ys[start : start + _BLOCK]
+        diff = y[:, None] - xf[None, :]
+        wm, we = _row_products(np.abs(diff))
+        terms = wm[:, None] / diff
+        terms *= inv
+        total = terms.sum(axis=1)
+        # omega(y) changes sign once per node above y
+        above = len(xf) - np.searchsorted(xf, y)
+        ss.append(np.where(above % 2, -total, total))
+        errs.append(coeff * np.abs(terms, out=terms).sum(axis=1) + underflow)
+        es.append(we - low)
+    return np.concatenate(ss), np.concatenate(errs), np.concatenate(es)
+
+
+def _magnitude_bounds(s: np.ndarray, err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on |value| from [s - err, s + err], rounded outward."""
+    lo = np.maximum(np.nextafter(np.abs(s) - err, -np.inf), 0.0)
+    return lo, np.nextafter(np.abs(s) + err, np.inf)
+
+
+def _scaled_fraction(x: float, e: int) -> Fraction:
+    return Fraction(float(x)) * Fraction(2) ** int(e)
+
+
+def _value_bounds(m: int, xf: np.ndarray) -> tuple[Fraction, Fraction]:
+    """Proven lower and upper bounds on V(X) for the nodes xf."""
+    s, err, e = _enclose(xf, *_float_denominators(xf), np.array([float(m)]))
+    lo, hi = _magnitude_bounds(s, err)
+    return _scaled_fraction(lo[0], e[0]), _scaled_fraction(hi[0], e[0])
+
+
+# ---------------------------------------------------------------------------
+# The exchange engine
+
+
+@dataclass(frozen=True)
+class _Scan:
+    """What one enclosure pass proved about the current node set."""
+
+    violations: list[tuple[int, int]]  # (grid point, sign of q) with |q| > 1, strongest first
+    verdict: bool | None  # nu*(d) >= target, or None when a full scan did not decide it
+    log_v: float  # ln V(X)
+    log_max_q: float  # ln of the proven max of |q| over the scanned points, at least 0
 
 
 class _Exchange:
     """Single-point exchange minimizing V(X).
 
-    Next to the sorted node list it keeps float state: the nodes as float64
-    (`_xf`), the log of each term of V(X) and the running sum of
-    log(m - x_j).  A swap updates every term in place with two O(d) log
-    vectors and shifts one slot into sorted order, and every float scan
-    re-derives that state from its own d x d row sums, so rounding drift
-    never outlives one batch of swaps.  The exact integer denominators are
-    recomputed lazily whenever a decision falls inside the float margin or
-    a certificate is required, so the descent itself runs at float speed.
+    Next to the sorted node list it keeps float state that steers the
+    swaps: the nodes as float64 (`_xf`), the log of each term of V(X) and
+    the sum of log(m - x_j).  A swap updates it in O(d) vector work, and
+    every scan re-derives it from the enclosure of |D_i|.  No verdict rests
+    on it: verdicts come from `find_violations`, the engine's only route
+    to exact arithmetic, and a swap too close to call in logs asks the
+    enclosure of V.
     """
 
     def __init__(self, m: int, xs: Sequence[int]):
         self.m = m
         self.xs = sorted(xs)
         self._abs_d: list[int] | None = None
+        self._xf = np.array(self.xs, dtype=np.float64)
         self._derive_logs()
 
     @property
@@ -200,100 +307,72 @@ class _Exchange:
             self._abs_d = _abs_denominators(self.xs)
         return self._abs_d
 
-    def _derive_logs(self) -> np.ndarray:
-        """Recompute the float state from the node list; returns the row
-        sums log |D_i| = sum_{j != i} log |x_i - x_j|."""
-        xf = np.array(self.xs, dtype=np.float64)
-        diff = np.abs(xf[:, None] - xf[None, :])
-        np.fill_diagonal(diff, 1.0)
-        log_d = np.log(diff).sum(axis=1)
-        log_m = np.log(self.m - xf)
-        self._xf = xf
+    def _derive_logs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Recompute the float state from the node list; returns the
+        enclosure of |D_i| as mantissa and exponent."""
+        dm, de = _float_denominators(self._xf)
+        log_m = np.log(self.m - self._xf)
         self._log_m_sum = float(log_m.sum())
-        self._term_logs = self._log_m_sum - log_m - log_d
-        return log_d
-
-    def value_exact(self) -> Fraction:
-        return _value_exact(self.m, self.xs, self.abs_d)
+        self._term_logs = self._log_m_sum - log_m - (np.log(dm) + de * math.log(2.0))
+        return dm, de
 
     def logv(self) -> float:
         peak = self._term_logs.max()
         return float(peak + np.log(np.exp(self._term_logs - peak).sum()))
 
-    def _float_scan(
-        self, stride: int = 1
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per free grid point: scaled signed q, scaled error bound, log scale.
-
-        |q(y)| = |q_scaled| * e^peak with the peak kept separate so nothing
-        overflows; the error bound covers float rounding of the scaled sum.
-        A stride > 1 samples every stride-th free point (cheap bulk passes).
-        """
-        # Re-deriving here bounds the drift of the swap updates: between two
-        # scans at most one batch of swaps (no more than the free points)
-        # accumulates, and every verdict inside _LOG_MARGIN goes to exact.
-        log_d = self._derive_logs()
+    def free_points(self) -> np.ndarray:
         xs = np.array(self.xs, dtype=np.int64)
-        free = np.setdiff1d(np.arange(self.m, dtype=np.int64), xs, assume_unique=True)
-        if stride > 1:
-            free = free[:: stride]
-        if free.size == 0:
-            return free, np.empty(0), np.empty(0), np.empty(0)
-        dist = free[:, None].astype(np.float64) - self._xf[None, :]
-        log_abs_dist = np.log(np.abs(dist))
-        log_omega = log_abs_dist.sum(axis=1)
-        # term(y, i) = |omega(y)| / (|y - x_i| * |D_i|) signed by sign(y - x_i);
-        # the global omega sign flips once per node above y.
-        term_log = log_omega[:, None] - log_abs_dist - log_d[None, :]
-        peak = term_log.max(axis=1)
-        scaled = np.exp(term_log - peak[:, None])
-        omega_sign = np.where((xs[None, :] > free[:, None]).sum(axis=1) % 2, -1.0, 1.0)
-        q_scaled = (scaled * np.sign(dist)).sum(axis=1) * omega_sign
-        # covers summation rounding and the log-accumulation error of the
-        # term magnitudes (log sums reach ~2e4, so ~1e-12 relative per term)
-        err_scaled = scaled.sum(axis=1) * len(self.xs) * 2.0**-45
-        return free, q_scaled, err_scaled, peak
+        return np.setdiff1d(np.arange(self.m, dtype=np.int64), xs, assume_unique=True)
 
-    def find_violations(
-        self, float_only: bool = False, stride: int = 1
-    ) -> tuple[list[tuple[int, int]], float]:
-        """(grid point, sign of q) pairs with |q| > 1, strongest first, and
-        an upper bound on ln max |q| over the scanned points (at least 0,
-        since |q| = 1 on the nodes).
+    def find_violations(self, target: Fraction, points: np.ndarray | None = None) -> _Scan:
+        """Enclose q at `points` (default: every free grid point) and V(X).
 
-        Points whose cancellation exceeds float resolution are settled in
-        exact arithmetic, but only once no float-confirmed violation is
-        left: they matter solely for the final optimality certificate.
-        With float_only the exact escalation is skipped entirely (used
-        where certification is out of budget).
-        """
-        free, q_scaled, err_scaled, peak = self._float_scan(stride)
-        if free.size == 0:
-            return [], 0.0
-        # |q| > 1 iff log|q_scaled| + peak > 0; err covers float rounding.
-        with np.errstate(divide="ignore"):
-            log_hi = np.log(np.abs(q_scaled) + err_scaled) + peak
-            log_lo = np.log(np.maximum(np.abs(q_scaled) - err_scaled, 0.0)) + peak
-        candidates: list[tuple[float, int, int]] = []
-        suspicious = np.nonzero(log_hi > 0)[0]
-        for idx in suspicious:
-            if log_lo[idx] > 1e-12:
-                candidates.append(
-                    (float(log_lo[idx]), int(free[idx]), 1 if q_scaled[idx] > 0 else -1)
-                )
-        if not candidates and not float_only:
-            for idx in suspicious:
-                qv = _q_exact(self.xs, self.abs_d, 1, int(free[idx]))
+        If no point is a proven violation |q| > 1, the points the bound
+        leaves undecided are settled by exact `_q_exact`.  A full scan also
+        returns a verdict: infeasible if the bound on V(X) lies below the
+        target, feasible if V(X)/M >= target with M the proven grid maximum
+        of |q| (1 once every free point is proven within [-1, 1]).  Only
+        when nothing is left to swap and V(X) straddles the target is it
+        computed exactly, by `_value_exact`."""
+        dm, de = self._derive_logs()
+        full = points is None
+        if full:
+            points = self.free_points()
+        ys = np.append(points, self.m).astype(np.float64)
+        s, err, e = _enclose(self._xf, dm, de, ys)
+        lo, hi = _magnitude_bounds(s, err)
+        v_lo, v_hi = _scaled_fraction(lo[-1], e[-1]), _scaled_fraction(hi[-1], e[-1])
+        log_v = math.log(s[-1]) + int(e[-1]) * math.log(2.0)
+        s, e, lo, hi = s[:-1], e[:-1], lo[:-1], hi[:-1]
+        # comparisons with 1 survive ldexp's overflow and underflow
+        proven = np.ldexp(lo, e) > 1
+        unsettled = np.ldexp(hi, e) > 1  # not proven within [-1, 1]
+        idx = np.nonzero(proven)[0]
+        idx = idx[np.argsort(-(np.log(lo[idx]) + e[idx] * math.log(2.0)), kind="stable")]
+        violations = [(int(points[i]), 1 if s[i] > 0 else -1) for i in idx]
+        if not violations:
+            for i in np.nonzero(unsettled)[0]:
+                qv = _q_exact(self.xs, self.abs_d, 1, int(points[i]))
                 if abs(qv) > 1:
-                    candidates.append(
-                        (
-                            _log2_fraction(abs(qv)) * math.log(2.0),
-                            int(free[idx]),
-                            1 if qv > 0 else -1,
-                        )
-                    )
-        candidates.sort(reverse=True)
-        return [(y, s) for _, y, s in candidates], max(float(log_hi.max()), 0.0)
+                    violations.append((int(points[i]), 1 if qv > 0 else -1))
+                else:
+                    unsettled[i] = False
+        max_q, log_max_q = Fraction(1), 0.0
+        if unsettled.any():
+            mant, exp = np.frexp(hi[unsettled])
+            exp = exp + e[unsettled]
+            top = exp.max()
+            max_q = _scaled_fraction(mant[exp == top].max(), top)
+            log_max_q = _log2_fraction(max_q) * math.log(2.0)
+        verdict = None
+        if full:
+            if v_hi < target:
+                verdict = False
+            elif v_lo >= target * max_q:
+                verdict = True
+            elif not violations:  # max_q = 1: q itself is feasible
+                verdict = _value_exact(self.m, self.xs, self.abs_d) >= target
+        return _Scan(violations, verdict, log_v, log_max_q)
 
     def _replace(self, pos: int, y: int) -> None:
         """Swap node at index pos for grid point y; float-only bookkeeping
@@ -322,7 +401,7 @@ class _Exchange:
         logs[ins] = own
         xf[ins] = y
 
-    def swap_toward(self, y: int, s: int, float_only: bool = False) -> bool:
+    def swap_toward(self, y: int, s: int) -> bool:
         """Exchange y (where sign(q(y)) = s) into the node set so that V
         strictly decreases.
 
@@ -333,7 +412,7 @@ class _Exchange:
         with the state restored, when neither lowers V.
         """
         before_log = self.logv()
-        before_exact: Fraction | None = None
+        before_lo: Fraction | None = None
         pos = bisect_left(self.xs, y)
         d = len(self.xs) - 1
         if 0 < pos <= d:
@@ -352,12 +431,10 @@ class _Exchange:
             after_log = self.logv()
             if after_log < before_log - _LOG_MARGIN:
                 return True
-            if not float_only and after_log < before_log + _LOG_MARGIN:
-                if before_exact is None:
-                    before_exact = _value_exact(
-                        self.m, saved_xs, _abs_denominators(saved_xs)
-                    )
-                if self.value_exact() < before_exact:
+            if after_log < before_log + _LOG_MARGIN:
+                if before_lo is None:
+                    before_lo = _value_bounds(self.m, saved_xf)[0]
+                if _value_bounds(self.m, self._xf)[1] < before_lo:
                     return True
             self.xs[:] = saved_xs
             self._abs_d = None
@@ -366,15 +443,14 @@ class _Exchange:
             self._log_m_sum = saved_log_m_sum
         return False
 
-    def exchange_batch(self, violations: list[tuple[int, int]], float_only: bool) -> bool:
+    def exchange_batch(self, violations: list[tuple[int, int]]) -> bool:
         """Swap in the violations of one scan, skipping entries gone stale;
         True if V went down."""
         xs = self.xs
         progressed = False
-        # float-only batches are capped: entries go stale as swaps land
-        for y, s in violations[: 256 if float_only else None]:
+        for y, s in violations:
             i = bisect_left(xs, y)
-            if (i == len(xs) or xs[i] != y) and self.swap_toward(y, s, float_only):
+            if (i == len(xs) or xs[i] != y) and self.swap_toward(y, s):
                 progressed = True
         return progressed
 
@@ -432,31 +508,26 @@ def _best_insertion(m: int, xs: list[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class _Probe:
-    """Outcome of the exchange on one degree d."""
+    """Proven outcome of the exchange on one degree d."""
 
     feasible: bool  # nu*(d) >= target
-    value: float  # ln nu*(d) estimate: midpoint of the proven float bounds
+    value: float  # ln nu*(d) estimate from the deciding full scan: ln V - ln(M)/2
     nodes: tuple[int, ...]
-    optimal: bool  # ended at a certified optimum
 
 
 class _Solver:
     """Least feasible degree on one grid m for one target ratio.
 
-    A probe runs the exchange on one degree d only until its side of the
-    target is proven: V(X) bounds nu*(d) from above, and the alternating
-    interpolant divided by its grid maximum M is feasible, so V(X)/M bounds
-    it from below.  "Infeasible" always rests on an exact V(X) < target.
-    A probe adapts the node set of the nearest degree already exchanged on
-    in this call, or starts from Chebyshev points; nothing outlives the
-    call.
+    A probe runs the exchange on one degree d only until a full scan
+    proves its side of the target; no probe needs the optimum.  A probe
+    adapts the node set of the nearest degree already exchanged on in this
+    call, or starts from Chebyshev points; nothing outlives the call.
     """
 
     def __init__(self, m: int, target: Fraction):
         self.m = m
         self.target = target
         self.log_target = _log2_fraction(target) * math.log(2.0)
-        self.certify = m <= EXCHANGE_M_MAX
         self.exchanged: dict[int, list[int]] = {}
 
     def _seed(self, d: int) -> list[int]:
@@ -465,51 +536,29 @@ class _Solver:
             return _adapt_set(self.m, self.exchanged[near], d + 1)
         return _chebyshev_int_points(self.m - 1, d + 1)
 
-    def _below_target(self, engine: _Exchange, upper: float) -> bool:
-        """Exact V(X) < target, evaluated only when the float value allows it."""
-        if upper >= self.log_target + _LOG_MARGIN:
-            return False
-        return engine.value_exact() < self.target
+    def probe(self, d: int) -> _Probe:
+        """Exchange on degree d until a full scan returns a verdict.
 
-    def probe(self, d: int, optimum: bool = False) -> _Probe:
-        """Exchange on degree d until its side of the target is proven or,
-        with `optimum`, until no violation is left.
-
-        Above the exchange cap the scans are float-only; after the seed
-        scan they sample every fourth free point until that finds nothing
-        to swap, and a full scan without progress ends the probe.
+        Bulk scans sample every fourth free point while that finds
+        violations to swap and the sampled bounds leave the target open;
+        after the bulk every scan is full.
         """
         engine = _Exchange(self.m, self._seed(d))
-        float_only = not self.certify
-        bulk = float_only
-        lower = -math.inf
-        stride = 1
+        bulk = True
         for _ in range(_EXCHANGE_MAX_ITER):
-            violations, log_max_q = engine.find_violations(float_only, stride)
-            upper = engine.logv()
-            if stride == 1:
-                lower = max(lower, upper - log_max_q)
-            settled = stride == 1 and not violations
-            if not optimum and not settled:
-                if self._below_target(engine, upper):
-                    return _Probe(False, (lower + upper) / 2, tuple(engine.xs), False)
-                if lower >= self.log_target + _LOG_MARGIN:
-                    return _Probe(True, (lower + upper) / 2, tuple(engine.xs), False)
-            if engine.exchange_batch(violations, float_only):
-                self.exchanged[d] = list(engine.xs)
-                stride = 4 if bulk else 1
-                continue
-            if stride > 1:
-                stride, bulk = 1, False
-                continue
-            if self.certify and not settled:
+            sample = engine.free_points()[::_BULK_STRIDE] if bulk else None
+            scan = engine.find_violations(self.target, sample)
+            if scan.verdict is not None:
+                value = scan.log_v - scan.log_max_q / 2
+                return _Probe(scan.verdict, value, tuple(engine.xs))
+            if bulk:
+                open_target = scan.log_v - scan.log_max_q < self.log_target <= scan.log_v
+                bulk = open_target and engine.exchange_batch(scan.violations)
+                if not bulk:
+                    continue
+            elif not engine.exchange_batch(scan.violations):
                 raise NumericalFailure(f"exchange stalled at m={self.m}, d={d}")
-            # settled, or a float-only descent that cannot progress
-            if self.certify:
-                feasible = engine.value_exact() >= self.target
-            else:
-                feasible = not self._below_target(engine, upper)
-            return _Probe(feasible, (lower + upper) / 2, tuple(engine.xs), self.certify)
+            self.exchanged[d] = list(engine.xs)
         raise NumericalFailure(f"exchange did not converge at m={self.m}, d={d}")
 
     def seed_estimate(self, d: int) -> tuple[bool, float]:
@@ -518,13 +567,14 @@ class _Solver:
         and ln V/M, which tracks the optimum within a few units where V and
         V/M lie hundreds apart."""
         engine = _Exchange(self.m, _chebyshev_int_points(self.m - 1, d + 1))
-        log_max_q = engine.find_violations(float_only=True)[1]
-        g = engine.logv() - log_max_q / 2 - self.log_target
+        scan = engine.find_violations(self.target)
+        g = scan.log_v - scan.log_max_q / 2 - self.log_target
         return g >= 0, g
 
-    def least_degree(self) -> tuple[int, bool, tuple[int, ...]]:
-        """Locate the crossing on the seed estimates, decide it with probes
-        starting there, and exchange the answer to its certified optimum."""
+    def least_degree(self) -> tuple[int, tuple[int, ...]]:
+        """Locate the crossing on the seed estimates, then decide it with
+        probes starting there; returns the degree and the node set that
+        proved it feasible."""
         # ln nu*(0) = 0 and ln nu*(m - 1) = ln(2^m - 1)
         ends = (0, -self.log_target, self.m - 1, self.m * math.log(2.0) - self.log_target)
         start = _least_crossing(self.seed_estimate, *ends)
@@ -535,14 +585,8 @@ class _Solver:
             return probes[d].feasible, probes[d].value - self.log_target
 
         hi = _least_crossing(decide, *ends, first=start)
-        best = probes.get(hi)
-        if best is None or (self.certify and not best.optimal):
-            best = self.probe(hi, optimum=True)
-            if not best.feasible:
-                raise NumericalFailure(
-                    f"feasible verdict at m={self.m}, d={hi} failed its certificate"
-                )
-        return hi, self.certify, best.nodes
+        best = probes[hi] if hi in probes else self.probe(hi)
+        return hi, best.nodes
 
 
 def _least_crossing(evaluate, lo: int, g_lo: float, hi: int, g_hi: float,
@@ -576,15 +620,15 @@ def _least_crossing(evaluate, lo: int, g_lo: float, hi: int, g_hi: float,
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _min_feasible_degree(m: int, target: Fraction) -> tuple[int, bool, tuple[int, ...]]:
+def _min_feasible_degree(m: int, target: Fraction) -> tuple[int, tuple[int, ...]]:
     """Least degree whose best approximation error meets the target ratio
-    (callers pass (1 - eps)/eps >= 2), whether it is certified, and the node
-    set the answer was decided on (optimal when certified; empty for m).
+    (callers pass (1 - eps)/eps >= 2), and the node set that proved it
+    feasible (empty for m).
 
     The engine's one cache: the result depends on (m, target) alone.
     """
     if Fraction((1 << m) - 1) < target:
-        return m, True, ()  # even full alternation cannot reach the target
+        return m, ()  # even full alternation cannot reach the target
     return _Solver(m, target).least_degree()
 
 
@@ -593,17 +637,13 @@ def and_feasibility_target(eps: Fraction) -> Fraction:
     return (1 - eps) / eps
 
 
-def min_and_approx_degree(
-    m: int,
-    eps,
-    tolerance: Fraction = DEFAULT_TOLERANCE,
-    _allow_large: bool = False,
-) -> int:
+def min_and_approx_degree(m: int, eps, tolerance: Fraction = DEFAULT_TOLERANCE,
+                          _allow_large: bool = False) -> int:
     """Least degree of a univariate p with |p(k)| <= eps (k < m), |p(m)-1| <= eps.
 
-    Decided through the exact alternation-set optimum; `tolerance` is the
-    certification slack applied when witnesses are rebuilt and has no
-    effect on the exact decision (reported degrees are tolerance-stable).
+    Decided by proven bounds on nu*(d) on both sides of the answer;
+    `tolerance` is the slack applied when witnesses are rebuilt and has no
+    effect on the decision (reported degrees are tolerance-stable).
     """
     eps = Fraction(eps)
     if m < 1:
@@ -625,67 +665,14 @@ def min_and_approx_degree(
 # Witness construction
 
 
-def _newton_coefficients(xs: Sequence[int], values: Sequence[Fraction]) -> list[Fraction]:
-    coeffs = [Fraction(v) for v in values]
-    for level in range(1, len(xs)):
-        for i in range(len(xs) - 1, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
-    return coeffs
-
-
-def _newton_to_monomial(xs: Sequence[int], newton: Sequence[Fraction]) -> list[Fraction]:
-    result = [newton[-1]]
-    for k in range(len(newton) - 2, -1, -1):
-        # result = result * (x - xs[k]) + newton[k]
-        shifted = [Fraction(0)] + result
-        for i, c in enumerate(result):
-            shifted[i] -= xs[k] * c
-        shifted[0] += newton[k]
-        result = shifted
-    return result
-
-
-def _monomial_to_chebyshev(mono: Sequence[Fraction], m: int) -> list[Fraction]:
-    """Coefficients of p(x) in the Chebyshev basis T_j(2x/m - 1)."""
-    # substitute x = m (u + 1)/2 to get a polynomial in u on [-1, 1]
-    deg = len(mono) - 1
-    in_u = [Fraction(0)] * (deg + 1)
-    half_m = Fraction(m, 2)
-    for k, a in enumerate(mono):
-        scale = a * half_m**k
-        for j in range(k + 1):
-            in_u[j] += scale * math.comb(k, j)
-    # accumulate u^k expressed in the Chebyshev basis
-    out = [Fraction(0)] * (deg + 1)
-    power = [Fraction(1)]  # u^0 = T_0
-    for k in range(deg + 1):
-        for j, c in enumerate(power):
-            out[j] += in_u[k] * c
-        if k == deg:
-            break
-        nxt = [Fraction(0)] * (len(power) + 1)
-        for j, c in enumerate(power):
-            if c == 0:
-                continue
-            if j == 0:
-                nxt[1] += c
-            else:
-                nxt[j + 1] += c / 2
-                nxt[j - 1] += c / 2
-        power = nxt
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def build_and_approximant(
-    m: int, eps, tolerance: Fraction = DEFAULT_TOLERANCE
-) -> UnivariatePolynomial:
+def build_and_approximant(m: int, eps, tolerance: Fraction = DEFAULT_TOLERANCE
+                          ) -> UnivariatePolynomial:
     """A certified witness for min_and_approx_degree(m, eps).
 
-    The witness interpolates the optimal alternation structure exactly, is
-    converted to the Chebyshev basis, and is re-verified at every integer
-    point in exact arithmetic with relative slack `tolerance`.
+    The witness is the alternating interpolant q on the node set that
+    proved the degree feasible, scaled by eps/M with M its exact grid
+    maximum (or by 1/q(m) where that overshoots), and is checked at every
+    integer point in exact arithmetic with relative slack `tolerance`.
     """
     eps = Fraction(eps)
     if m < 1:
@@ -694,25 +681,23 @@ def build_and_approximant(
         raise SizeLimitError("m", m, AND_M_MAX)
     if not 0 < eps <= Fraction(1, 3):
         raise DomainError(f"epsilon must lie in (0, 1/3], got {eps}")
-    target = and_feasibility_target(eps)
-    degree, _, nodes = _min_feasible_degree(m, target)
+    degree, nodes = _min_feasible_degree(m, and_feasibility_target(eps))
     if degree >= m:
-        xs = list(range(m + 1))
-        values = [Fraction(0)] * m + [Fraction(1)]
+        poly = UnivariatePolynomial(m, tuple(range(m + 1)), (Fraction(0),) * m + (Fraction(1),))
+        values = poly.integer_values()
     else:
-        xs = list(nodes)
-        v = _value_exact(m, xs, _abs_denominators(xs))
-        scale = eps if v <= (1 + eps) / eps else 1 / v
-        d = len(xs) - 1
-        values = [scale * (1 if (d - i) % 2 == 0 else -1) for i in range(d + 1)]
-    newton = _newton_coefficients(xs, values)
-    mono = _newton_to_monomial(xs, newton)
-    poly = UnivariatePolynomial(m, tuple(_monomial_to_chebyshev(mono, m)))
+        d = len(nodes) - 1
+        signs = tuple(Fraction(1 if (d - i) % 2 == 0 else -1) for i in range(d + 1))
+        q = UnivariatePolynomial(m, nodes, signs).integer_values()
+        grid_max = max(abs(v) for v in q[:m])
+        scale = eps / grid_max if q[m] / grid_max <= (1 + eps) / eps else 1 / q[m]
+        poly = UnivariatePolynomial(m, nodes, tuple(scale * s for s in signs))
+        values = [scale * v for v in q]
     slack = eps * (1 + tolerance)
     for k in range(m):
-        if abs(poly.evaluate(k)) > slack:
+        if abs(values[k]) > slack:
             raise NumericalFailure(f"witness violates |p({k})| <= eps")
-    if abs(poly.evaluate(m) - 1) > slack:
+    if abs(values[m] - 1) > slack:
         raise NumericalFailure("witness violates |p(m) - 1| <= eps")
     return poly
 
@@ -735,11 +720,8 @@ def dualize_polynomial(p: dict) -> dict:
             for sub in combinations(s, size):
                 t = frozenset(sub)
                 acc[t] = acc.get(t, 0) + sign * a
-    out: dict[frozenset, object] = {}
-    for t, v in acc.items():
-        out[t] = -v
-    empty = frozenset()
-    out[empty] = out.get(empty, 0) + 1
+    out = {t: -v for t, v in acc.items()}
+    out[frozenset()] = out.get(frozenset(), 0) + 1
     return {t: v for t, v in out.items() if v != 0}
 
 
@@ -757,7 +739,7 @@ class DegreeBoundReport:
     and_degree: int
     threshold: int  # ceil(n^1.5): monomials below it are kept exact
     overall_bound: int
-    certified: bool  # False when the size forced the heuristic engine
+    certified: bool  # always True: a verdict the enclosure cannot prove raises NumericalFailure
     eps_in_regime: bool
 
 
@@ -778,7 +760,7 @@ def bpm_degree_bound(n: int, eps) -> DegreeBoundReport:
     in_regime = m < 2 or _log2_fraction(ep) >= -m * math.log2(m)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        degree, certified, _ = _min_feasible_degree(m, and_feasibility_target(ep))
+        degree, _ = _min_feasible_degree(m, and_feasibility_target(ep))
     threshold = _ceil_n_to_3_2(n)
     return DegreeBoundReport(
         n=n,
@@ -787,7 +769,7 @@ def bpm_degree_bound(n: int, eps) -> DegreeBoundReport:
         and_degree=degree,
         threshold=threshold,
         overall_bound=max(threshold, degree),
-        certified=certified,
+        certified=True,
         eps_in_regime=in_regime,
     )
 
@@ -861,13 +843,13 @@ class BpmStarApproximant:
         """1 - A(1 - x): approximates the matching indicator itself."""
         return 1 - self.evaluate(complement(x))
 
+    def _max_error(self, error) -> Fraction:
+        """Largest error(x) over every graph on n + n vertices."""
+        graphs = (BipartiteGraph.from_mask(self.n, mask) for mask in range(1 << (self.n * self.n)))
+        return max(map(error, graphs))
+
     def _certify(self) -> Fraction:
-        worst = Fraction(0)
-        for mask in range(1 << (self.n * self.n)):
-            x = BipartiteGraph.from_mask(self.n, mask)
-            err = abs(self.evaluate(x) - bpm_star_value(x))
-            if err > worst:
-                worst = err
+        worst = self._max_error(lambda x: abs(self.evaluate(x) - bpm_star_value(x)))
         if worst > self.epsilon:
             raise NumericalFailure(
                 f"assembled approximant misses the budget: {worst} > {self.epsilon}"
@@ -875,13 +857,9 @@ class BpmStarApproximant:
         return worst
 
     def dual_max_error(self) -> Fraction:
-        worst = Fraction(0)
-        for mask in range(1 << (self.n * self.n)):
-            x = BipartiteGraph.from_mask(self.n, mask)
-            err = abs(self.dual_evaluate(x) - (1 if has_perfect_matching(x) else 0))
-            if err > worst:
-                worst = err
-        return worst
+        return self._max_error(
+            lambda x: abs(self.dual_evaluate(x) - (1 if has_perfect_matching(x) else 0))
+        )
 
     def report(self) -> ApproximantReport:
         return ApproximantReport(

@@ -90,18 +90,23 @@ class DualPolynomial:
 
     @classmethod
     def from_tsv(cls, text: str, n: int) -> "DualPolynomial":
+        """Parse a `to_tsv` dump; a malformed line raises ValueError naming
+        its 1-based number."""
         terms: dict[int, int] = {}
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line:
                 continue
             coeff_str, _, edge_str = line.partition("\t")
-            c = int(coeff_str)
-            mask = 0
-            if edge_str != "-":
-                for chunk in edge_str.split("),("):
-                    i_str, _, j_str = chunk.strip("()").partition(",")
-                    mask |= cls._edge_bit(int(i_str), int(j_str), n)
+            try:
+                c = int(coeff_str)
+                mask = 0
+                if edge_str != "-":
+                    for chunk in edge_str.split("),("):
+                        i_str, _, j_str = chunk.strip("()").partition(",")
+                        mask |= cls._edge_bit(int(i_str), int(j_str), n)
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from None
             if c:
                 terms[mask] = c
         return cls(n, terms)

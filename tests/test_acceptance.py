@@ -209,13 +209,12 @@ def test_c09_and_approximate_degree():
     _report(9, True, f"m=1..4 degrees {degrees}; monotone on 1..256; ratios within [1.5, 2.8]; tolerance-stable")
 
 
-# Degree-bound table values computed by this package and frozen.  The
-# n <= 32 entries come from the certified engine and are exact; the n = 64
-# entry comes from the documented upper-bound descent (deterministic, but
-# pinned as a range to stay robust against float-kernel reorderings).  The
-# ratio constant C is the row maximum, frozen with headroom.
+# Degree-bound table values computed by this package and frozen.  Every
+# entry, n = 64 included, is certified: the degree is proven feasible and
+# the one below it proven infeasible.  The ratio constant C is the row
+# maximum, frozen with headroom.
 EXPECTED_TABLE = {4: 16, 8: 64, 16: 225, 32: 715}
-N64_DEGREE_RANGE = (2150, 2300)
+N64_DEGREE = 2213
 RATIO_CONSTANT_C = 1.80
 
 
@@ -245,14 +244,13 @@ def test_c10_end_to_end_approximant():
                         f"n={n}: bound {report.overall_bound} (certified="
                         f"{report.certified}) != frozen {EXPECTED_TABLE[n]}",
                     )
-            else:
-                lo, hi = N64_DEGREE_RANGE
-                if not lo <= report.overall_bound <= hi:
-                    _report(
-                        10,
-                        False,
-                        f"n=64: bound {report.overall_bound} outside [{lo}, {hi}]",
-                    )
+            elif report.overall_bound != N64_DEGREE or not report.certified:
+                _report(
+                    10,
+                    False,
+                    f"n=64: bound {report.overall_bound} (certified="
+                    f"{report.certified}) != frozen {N64_DEGREE}",
+                )
             ratios[n] = report.overall_bound / (n**1.5 * math.sqrt(math.log2(n)))
     if any(r > RATIO_CONSTANT_C for r in ratios.values()):
         _report(10, False, f"ratio exceeds C={RATIO_CONSTANT_C}: {ratios}")

@@ -15,9 +15,12 @@ from bpmdual.approxdeg import (
     DegreeBoundReport,
     UnivariatePolynomial,
     _Exchange,
-    _Solver,
     _abs_denominators,
+    _chebyshev_int_points,
+    _enclose,
+    _float_denominators,
     _min_feasible_degree,
+    _q_exact,
     _value_exact,
     and_feasibility_target,
     assemble_bpm_approximant,
@@ -39,6 +42,15 @@ def brute_nu(m, d):
         _value_exact(m, xs, _abs_denominators(xs))
         for xs in combinations(range(m), d + 1)
     )
+
+
+def exchange_to_optimum(m, d):
+    """Drive the exchange from the Chebyshev seed until no grid point has
+    |q| > 1, which makes the node set optimal."""
+    engine = _Exchange(m, _chebyshev_int_points(m - 1, d + 1))
+    while violations := engine.find_violations(Fraction(2)).violations:
+        assert engine.exchange_batch(violations)
+    return engine
 
 
 def brute_min_degree(m, eps):
@@ -121,9 +133,7 @@ class TestMinAndApproxDegree:
     def test_exchange_optimum_matches_enumeration(self):
         for m in range(2, 10):
             for d in range(1, m):
-                probe = _Solver(m, Fraction(2)).probe(d, optimum=True)
-                assert probe.optimal
-                nodes = list(probe.nodes)
+                nodes = exchange_to_optimum(m, d).xs
                 assert len(nodes) == d + 1
                 nu = _value_exact(m, nodes, _abs_denominators(nodes))
                 assert nu == brute_nu(m, d), (m, d)
@@ -154,17 +164,16 @@ class TestExchangeBookkeeping:
     def test_failed_swap_restores_state(self):
         # no swap lowers V below the optimum, so every attempt must fail
         m, d = 64, 10
-        engine = _Exchange(m, _Solver(m, Fraction(2)).probe(d, optimum=True).nodes)
+        engine = exchange_to_optimum(m, d)
         before = float_state(engine)
         for y in sorted(set(range(m)) - set(engine.xs)):
             for s in (1, -1):
-                for float_only in (False, True):
-                    assert not engine.swap_toward(y, s, float_only)
-                    xs, logs, xf, log_m_sum = float_state(engine)
-                    assert xs == before[0]
-                    assert np.array_equal(logs, before[1])
-                    assert np.array_equal(xf, before[2])
-                    assert log_m_sum == before[3]
+                assert not engine.swap_toward(y, s)
+                xs, logs, xf, log_m_sum = float_state(engine)
+                assert xs == before[0]
+                assert np.array_equal(logs, before[1])
+                assert np.array_equal(xf, before[2])
+                assert log_m_sum == before[3]
 
     def test_abs_denominators_match_naive_product(self):
         rng = random.Random(5)
@@ -172,6 +181,68 @@ class TestExchangeBookkeeping:
             xs = sorted(rng.sample(range(4096), size))
             naive = [abs(math.prod(xi - xj for xj in xs if xj != xi)) for xi in xs]
             assert _abs_denominators(xs) == naive
+
+
+def scaled(x, e):
+    return Fraction(float(x)) * Fraction(2) ** int(e)
+
+
+def exact_bracket(xs, abs_d, y, k):
+    """Integers lo < hi with lo / 2^k <= q(y) <= hi / 2^k for the alternating
+    interpolant q ending with +1: each term omega(y) / ((y - x_i) |D_i|) is
+    floored at scale 2^k, which puts the sum within d + 1 units above."""
+    omega = math.prod([y - x for x in xs])
+    total = 0
+    for x, d in zip(xs, abs_d):
+        n = omega // (y - x) << max(k, 0)
+        total += n // (d << max(-k, 0))
+    return total, total + len(xs)
+
+
+class TestEnclosure:
+    """Every exact q(y) and V(X) = q(m) lies inside its float enclosure."""
+
+    @staticmethod
+    def enclosures(xs, ys):
+        xf = np.array(xs, dtype=np.float64)
+        s, err, e = _enclose(xf, *_float_denominators(xf), np.array(ys, dtype=np.float64))
+        return [(scaled(s[i] - err[i], e[i]), scaled(s[i] + err[i], e[i]), e[i]) for i in range(len(ys))]
+
+    @pytest.mark.parametrize("m, d", [(64, 10), (676, 507)])
+    def test_exact_values_inside(self, m, d):
+        rng = random.Random(m + d)
+        xs = sorted(rng.sample(range(m), d + 1))
+        ys = sorted(set(range(m)) - set(xs))
+        if m > 64:
+            ys = rng.sample(ys, 40)
+        abs_d = _abs_denominators(xs)
+        for y, (lo, hi, _) in zip(ys + [m], self.enclosures(xs, ys + [m])):
+            exact = _value_exact(m, xs, abs_d) if y == m else _q_exact(xs, abs_d, 1, y)
+            assert lo <= exact <= hi, y
+            # the bracket the m = 4096 test relies on holds the exact value
+            b_lo, b_hi = exact_bracket(xs, abs_d, y, 64)
+            assert Fraction(b_lo, 2**64) <= exact <= Fraction(b_hi, 2**64)
+
+    def test_chebyshev_seed_at_4096(self):
+        m = 4096
+        xs = _chebyshev_int_points(m - 1, 2213)
+        rng = random.Random(4096)
+        ys = rng.sample(sorted(set(range(m)) - set(xs)), 30) + [m]
+        abs_d = _abs_denominators(xs)
+        for y, (lo, hi, e) in zip(ys, self.enclosures(xs, ys)):
+            k = 200 - int(e)  # bracket 2^-200 wide relative to the enclosure's scale
+            b_lo, b_hi = exact_bracket(xs, abs_d, y, k)
+            assert lo <= Fraction(b_lo) / Fraction(2) ** k
+            assert Fraction(b_hi) / Fraction(2) ** k <= hi, y
+
+    def test_tie_at_4096_settled_exactly(self):
+        # |q(2048)| = 1 exactly on this seed, so no float bound decides it
+        engine = _Exchange(4096, _chebyshev_int_points(4095, 2213))
+        (lo, hi, _), = self.enclosures(engine.xs, [2048])
+        assert lo < -1 < hi or lo < 1 < hi
+        scan = engine.find_violations(Fraction(2), np.array([2048]))
+        assert scan.violations == [] and scan.log_max_q == 0.0
+        assert abs(_q_exact(engine.xs, engine.abs_d, 1, 2048)) == 1
 
 
 class TestBuildAndApproximant:
@@ -198,12 +269,12 @@ class TestBuildAndApproximant:
     def test_history_independent(self):
         eps = Fraction(1, 10)
         _min_feasible_degree.cache_clear()
-        cold = build_and_approximant(40, eps).coefficients
+        cold = build_and_approximant(40, eps).integer_values()
         _min_feasible_degree.cache_clear()
         for m, other in [(41, eps), (39, THIRD), (40, Fraction(1, 1000)), (128, eps)]:
             min_and_approx_degree(m, other)
-        assert build_and_approximant(40, eps).coefficients == cold
-        assert build_and_approximant(40, eps).coefficients == cold  # memo hit
+        assert build_and_approximant(40, eps).integer_values() == cold
+        assert build_and_approximant(40, eps).integer_values() == cold  # memo hit
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 9])
     @pytest.mark.parametrize("eps", [THIRD, Fraction(1, 10)])

@@ -245,6 +245,28 @@ class TestEval:
         assert captured.err.startswith("error: DimensionMismatchError: ")
         assert f"polynomial has n={dump_n}" in captured.err
 
+    @pytest.mark.parametrize(
+        "line, bad",
+        [
+            ("abc\t(1,1),(2,1)", "'abc'"),  # coefficient not an integer
+            ("\t(1,1),(2,1)", "'(1,1),(2,1)'"),  # coefficient missing
+            ("1\t(1,1),(1,x)", "'x'"),  # edge index not an integer
+        ],
+    )
+    def test_malformed_tsv_names_the_line(self, tmp_path, k22, capsys, line, bad):
+        poly_file = tmp_path / "p.tsv"
+        assert run(["poly", "--n", "2", "--out", str(poly_file)]) == 0
+        lines = poly_file.read_text().splitlines()
+        assert lines[1] == "1\t(1,1),(2,1)"
+        lines[1] = line
+        poly_file.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["eval", "--graph", k22, "--poly", str(poly_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 2: ")
+        assert captured.err.count("\n") == 1 and bad in captured.err
+
     def test_round_trip_json(self, tmp_path, path_graph, capsys):
         poly_file = tmp_path / "p.json"
         assert run(["poly", "--n", "2", "--format", "json", "--out", str(poly_file)]) == 0
