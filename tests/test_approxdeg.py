@@ -206,7 +206,9 @@ class TestEnclosure:
     def enclosures(xs, ys):
         xf = np.array(xs, dtype=np.float64)
         s, err, e = _enclose(xf, *_float_denominators(xf), np.array(ys, dtype=np.float64))
-        return [(scaled(s[i] - err[i], e[i]), scaled(s[i] + err[i], e[i]), e[i]) for i in range(len(ys))]
+        return [
+            (scaled(s[i] - err[i], e[i]), scaled(s[i] + err[i], e[i]), e[i]) for i in range(len(ys))
+        ]
 
     @pytest.mark.parametrize("m, d", [(64, 10), (676, 507)])
     def test_exact_values_inside(self, m, d):
