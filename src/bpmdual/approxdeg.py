@@ -40,14 +40,12 @@ from .oracle import bpm_star_value
 from .polyspace import materialize
 
 AND_M_MAX = 256  # direct-call cap; the degree-bound pipeline may exceed it
-AND_M_HARD_MAX = 4096
 BPM_N_MAX = 64
 ASSEMBLE_N_MAX = 3
 DEFAULT_TOLERANCE = Fraction(1, 10**12)
 
 _EXCHANGE_MAX_ITER = 4000
 _LOG_MARGIN = 1e-9  # natural-log slack under which a swap asks the enclosure
-_WARM_START_MAX = 192  # farthest exchanged degree a probe adapts instead of reseeding
 _MEMO_SIZE = 1024
 _BULK_STRIDE = 4  # a bulk scan samples every fourth free point
 _BLOCK = 256  # grid points enclosed per vectorized block
@@ -473,92 +471,44 @@ def _best_deletion(m: int, xs: list[int]) -> list[int]:
     return out
 
 
-def _adapt_set(m: int, xs: list[int], size: int) -> list[int]:
-    """Resize a node set by greedy best insertions or deletions."""
-    out = sorted(xs)
-    while len(out) < size:
-        out = _best_insertion(m, out)
-    while len(out) > size:
-        out = _best_deletion(m, out)
-    return out
-
-
-def _best_insertion(m: int, xs: list[int]) -> list[int]:
-    """Node set plus the free grid point whose insertion minimizes V (the
-    grid must have one).  One O((m - |X|) |X|) float pass."""
-    xs_arr = np.array(sorted(xs), dtype=np.int64)
-    free = np.setdiff1d(np.arange(m, dtype=np.int64), xs_arr, assume_unique=True)
-    xf = xs_arr.astype(np.float64)
-    diff = np.abs(xf[:, None] - xf[None, :])
-    np.fill_diagonal(diff, 1.0)
-    base_terms = np.log(m - xf).sum() - np.log(m - xf) - np.log(diff).sum(axis=1)
-    dist = np.abs(free[:, None].astype(np.float64) - xf[None, :])
-    log_dist = np.log(dist)
-    log_m_y = np.log((m - free).astype(np.float64))
-    # existing terms gain log(m - y) - log|x_i - y|; the new node's own term
-    # is sum log(m - x_j) - sum log|y - x_j|
-    shifted = base_terms[None, :] + log_m_y[:, None] - log_dist
-    own = np.log(m - xf).sum() - log_dist.sum(axis=1)
-    all_terms = np.concatenate([shifted, own[:, None]], axis=1)
-    peak = all_terms.max(axis=1)
-    logv = peak + np.log(np.exp(all_terms - peak[:, None]).sum(axis=1))
-    best = int(free[np.argmin(logv)])
-    return sorted(xs + [best])
-
-
-@dataclass(frozen=True)
-class _Probe:
-    """Proven outcome of the exchange on one degree d."""
-
-    feasible: bool  # nu*(d) >= target
-    value: float  # ln nu*(d) estimate from the deciding full scan: ln V - ln(M)/2
-    nodes: tuple[int, ...]
-
-
 class _Solver:
     """Least feasible degree on one grid m for one target ratio.
 
     A probe runs the exchange on one degree d only until a full scan
-    proves its side of the target; no probe needs the optimum.  A probe
-    adapts the node set of the nearest degree already exchanged on in this
-    call, or starts from Chebyshev points; nothing outlives the call.
+    proves its side of the target; no probe needs the optimum.  The search
+    starts where one-scan estimates on Chebyshev points cross the target
+    and then walks one degree at a time on proven verdicts alone.
     """
 
     def __init__(self, m: int, target: Fraction):
         self.m = m
         self.target = target
         self.log_target = _log2_fraction(target) * math.log(2.0)
-        self.exchanged: dict[int, list[int]] = {}
 
-    def _seed(self, d: int) -> list[int]:
-        near = min(self.exchanged, key=lambda k: abs(k - d), default=None)
-        if near is not None and abs(near - d) <= _WARM_START_MAX:
-            return _adapt_set(self.m, self.exchanged[near], d + 1)
-        return _chebyshev_int_points(self.m - 1, d + 1)
+    def chebyshev(self, d: int) -> _Exchange:
+        return _Exchange(self.m, _chebyshev_int_points(self.m - 1, d + 1))
 
-    def probe(self, d: int) -> _Probe:
-        """Exchange on degree d until a full scan returns a verdict.
+    def probe(self, engine: _Exchange) -> bool:
+        """Exchange on the engine's node set until a full scan proves
+        whether nu*(d) reaches the target; the engine keeps the nodes that
+        proved it.
 
         Bulk scans sample every fourth free point while that finds
         violations to swap and the sampled bounds leave the target open;
         after the bulk every scan is full.
         """
-        engine = _Exchange(self.m, self._seed(d))
+        d = len(engine.xs) - 1
         bulk = True
         for _ in range(_EXCHANGE_MAX_ITER):
             sample = engine.free_points()[::_BULK_STRIDE] if bulk else None
             scan = engine.find_violations(self.target, sample)
             if scan.verdict is not None:
-                value = scan.log_v - scan.log_max_q / 2
-                return _Probe(scan.verdict, value, tuple(engine.xs))
+                return scan.verdict
             if bulk:
                 open_target = scan.log_v - scan.log_max_q < self.log_target <= scan.log_v
                 bulk = open_target and engine.exchange_batch(scan.violations)
-                if not bulk:
-                    continue
             elif not engine.exchange_batch(scan.violations):
                 raise NumericalFailure(f"exchange stalled at m={self.m}, d={d}")
-            self.exchanged[d] = list(engine.xs)
         raise NumericalFailure(f"exchange did not converge at m={self.m}, d={d}")
 
     def seed_estimate(self, d: int) -> tuple[bool, float]:
@@ -566,44 +516,52 @@ class _Solver:
         estimate from one scan of the Chebyshev seed: the midpoint of ln V
         and ln V/M, which tracks the optimum within a few units where V and
         V/M lie hundreds apart."""
-        engine = _Exchange(self.m, _chebyshev_int_points(self.m - 1, d + 1))
-        scan = engine.find_violations(self.target)
+        scan = self.chebyshev(d).find_violations(self.target)
         g = scan.log_v - scan.log_max_q / 2 - self.log_target
         return g >= 0, g
 
     def least_degree(self) -> tuple[int, tuple[int, ...]]:
-        """Locate the crossing on the seed estimates, then decide it with
-        probes starting there; returns the degree and the node set that
-        proved it feasible."""
-        # ln nu*(0) = 0 and ln nu*(m - 1) = ln(2^m - 1)
+        """Probe the degree where the seed estimates cross the target, then
+        walk down while probes stay feasible or up until one is; returns
+        the degree and the node set that proved it feasible.
+
+        A walk-down probe starts from the Chebyshev points or from the last
+        feasible nodes minus their best deletion, whichever has the smaller
+        V(X); a walk-up probe starts from the Chebyshev points.
+        """
+        # ln nu*(0) = 0 and ln nu*(m - 1) = ln(2^m - 1): degree 0 is
+        # infeasible and degree m - 1 feasible, so both walks end in range
         ends = (0, -self.log_target, self.m - 1, self.m * math.log(2.0) - self.log_target)
-        start = _least_crossing(self.seed_estimate, *ends)
-        probes: dict[int, _Probe] = {}
+        d = _least_crossing(self.seed_estimate, *ends)
+        engine = self.chebyshev(d)
+        if self.probe(engine):
+            while d > 1:
+                shrunk = _Exchange(self.m, _best_deletion(self.m, engine.xs))
+                below = min(self.chebyshev(d - 1), shrunk, key=_Exchange.logv)
+                if not self.probe(below):
+                    break
+                d, engine = d - 1, below
+        else:
+            while True:
+                d += 1
+                engine = self.chebyshev(d)
+                if self.probe(engine):
+                    break
+        return d, tuple(engine.xs)
 
-        def decide(d: int) -> tuple[bool, float]:
-            probes[d] = self.probe(d)
-            return probes[d].feasible, probes[d].value - self.log_target
 
-        hi = _least_crossing(decide, *ends, first=start)
-        best = probes[hi] if hi in probes else self.probe(hi)
-        return hi, best.nodes
-
-
-def _least_crossing(evaluate, lo: int, g_lo: float, hi: int, g_hi: float,
-                    first: int | None = None) -> int:
+def _least_crossing(evaluate, lo: int, g_lo: float, hi: int, g_hi: float) -> int:
     """Least d in (lo, hi] with evaluate(d) = (True, g), for g an estimate of
     an increasing convex curve that crosses 0 between the ends.
 
     Illinois regula falsi: the end kept twice in a row has its g halved, so
     the convex curve cannot stall the bracket on one side.  The ends are
-    never evaluated; `first` forces the first point.
+    never evaluated.
     """
     kept = 0  # +1 after a True verdict, -1 after a False one
-    d = first
     while hi - lo > 1:
-        if d is None or not lo < d < hi:
-            d = lo + math.ceil(-g_lo * (hi - lo) / (g_hi - g_lo))
-            d = min(max(d, lo + 1), hi - 1)
+        d = lo + math.ceil(-g_lo * (hi - lo) / (g_hi - g_lo))
+        d = min(max(d, lo + 1), hi - 1)
         above, g = evaluate(d)
         if above:
             hi, g_hi = d, max(g, _LOG_MARGIN)
@@ -615,7 +573,6 @@ def _least_crossing(evaluate, lo: int, g_lo: float, hi: int, g_hi: float,
             if kept < 0:
                 g_hi /= 2
             kept = -1
-        d = None
     return hi
 
 
@@ -637,20 +594,18 @@ def and_feasibility_target(eps: Fraction) -> Fraction:
     return (1 - eps) / eps
 
 
-def min_and_approx_degree(m: int, eps, tolerance: Fraction = DEFAULT_TOLERANCE,
-                          _allow_large: bool = False) -> int:
+def min_and_approx_degree(m: int, eps, tolerance: Fraction = DEFAULT_TOLERANCE) -> int:
     """Least degree of a univariate p with |p(k)| <= eps (k < m), |p(m)-1| <= eps.
 
-    Decided by proven bounds on nu*(d) on both sides of the answer;
-    `tolerance` is the slack applied when witnesses are rebuilt and has no
-    effect on the decision (reported degrees are tolerance-stable).
+    Decided by proven bounds on nu*(d) on both sides of the answer, so no
+    slack enters the decision; `tolerance` is accepted and has no effect
+    (reported degrees are tolerance-stable).
     """
     eps = Fraction(eps)
     if m < 1:
         raise DomainError(f"m must be at least 1, got {m}")
-    cap = AND_M_HARD_MAX if _allow_large else AND_M_MAX
-    if m > cap:
-        raise SizeLimitError("m", m, cap)
+    if m > AND_M_MAX:
+        raise SizeLimitError("m", m, AND_M_MAX)
     if not 0 < eps <= Fraction(1, 3):
         raise DomainError(f"epsilon must lie in (0, 1/3], got {eps}")
     if m >= 2 and _log2_fraction(eps) < -m * math.log2(m):
@@ -665,14 +620,13 @@ def min_and_approx_degree(m: int, eps, tolerance: Fraction = DEFAULT_TOLERANCE,
 # Witness construction
 
 
-def build_and_approximant(m: int, eps, tolerance: Fraction = DEFAULT_TOLERANCE
-                          ) -> UnivariatePolynomial:
+def build_and_approximant(m: int, eps) -> UnivariatePolynomial:
     """A certified witness for min_and_approx_degree(m, eps).
 
     The witness is the alternating interpolant q on the node set that
     proved the degree feasible, scaled by eps/M with M its exact grid
     maximum (or by 1/q(m) where that overshoots), and is checked at every
-    integer point in exact arithmetic with relative slack `tolerance`.
+    integer point in exact arithmetic against eps itself, without slack.
     """
     eps = Fraction(eps)
     if m < 1:
@@ -693,11 +647,10 @@ def build_and_approximant(m: int, eps, tolerance: Fraction = DEFAULT_TOLERANCE
         scale = eps / grid_max if q[m] / grid_max <= (1 + eps) / eps else 1 / q[m]
         poly = UnivariatePolynomial(m, nodes, tuple(scale * s for s in signs))
         values = [scale * v for v in q]
-    slack = eps * (1 + tolerance)
     for k in range(m):
-        if abs(values[k]) > slack:
+        if abs(values[k]) > eps:
             raise NumericalFailure(f"witness violates |p({k})| <= eps")
-    if abs(values[m] - 1) > slack:
+    if abs(values[m] - 1) > eps:
         raise NumericalFailure("witness violates |p(m) - 1| <= eps")
     return poly
 

@@ -101,11 +101,9 @@ def _cmd_verify(args) -> int:
     import numpy as np
 
     n = args.n
-    if n > 4 and not args.huge:
-        raise SizeLimitError("n", n, 4)
+    star = star_table(n, huge=args.huge)
     bits = n * n
     size = 1 << bits
-    star = star_table(n, huge=args.huge)
     terms = materialize(n).terms
     # int32 is exact where it matters: if closed equals the Mobius table, each
     # partial zeta sum is a partial Mobius sum of the 0/1 table (|entry| <= 2^25);

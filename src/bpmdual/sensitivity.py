@@ -49,30 +49,22 @@ def degree_lower_bound(n: int) -> int:
 def construct_path_input(n: int) -> BipartiteGraph:
     """The two-disjoint-paths input witnessing the sensitivity bound.
 
-    For even n = 2k: P1 = (a_1, b_1, a_2, ..., b_k, a_{k+1}) and
-    P2 = (b_{k+1}, a_{k+2}, ..., a_{2k}, b_{2k}).  For odd n, P1 uses
-    (n+1)/2 left and (n-1)/2 right vertices and P2 mirrors it on the rest;
-    only the stated odd-case bound is asserted against the flip count.
+    With p = floor(n/2) + 1: P1 = (a_1, b_1, a_2, ..., b_{p-1}, a_p) and
+    P2 = (b_p, a_{p+1}, b_{p+1}, ..., a_n, b_n).  For even n = 2k this is
+    p = k + 1; for odd n, P1 uses (n+1)/2 left and (n-1)/2 right vertices
+    and P2 mirrors it on the rest, and only the stated odd-case bound is
+    asserted against the flip count.
     """
     if n < 2:
         raise DomainError(f"construction needs n >= 2, got {n}")
+    p = n // 2 + 1
     edges: list[tuple[int, int]] = []
-    if n % 2 == 0:
-        k = n // 2
-        for i in range(1, k + 1):
-            edges.append((i, i))
-            edges.append((i + 1, i))
-        for i in range(k + 2, n + 1):
-            edges.append((i, i - 1))
-            edges.append((i, i))
-    else:
-        p = (n + 1) // 2  # left vertices of P1: a_1..a_p
-        for i in range(1, p):
-            edges.append((i, i))
-            edges.append((i + 1, i))
-        for i in range(p + 1, n + 1):
-            edges.append((i, i - 1))
-            edges.append((i, i))
+    for i in range(1, p):
+        edges.append((i, i))
+        edges.append((i + 1, i))
+    for i in range(p + 1, n + 1):
+        edges.append((i, i - 1))
+        edges.append((i, i))
     return BipartiteGraph.from_edges(n, edges)
 
 

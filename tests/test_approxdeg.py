@@ -9,6 +9,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from bpmdual import approxdeg
 from bpmdual._errors import DomainError, SizeLimitError
 from bpmdual.approxdeg import (
     BpmStarApproximant,
@@ -137,6 +138,24 @@ class TestMinAndApproxDegree:
                 assert len(nodes) == d + 1
                 nu = _value_exact(m, nodes, _abs_denominators(nodes))
                 assert nu == brute_nu(m, d), (m, d)
+
+    @pytest.mark.parametrize("offset", [-7, -3, -1, 2, 6])
+    @pytest.mark.parametrize("eps", [THIRD, Fraction(1, 1000)])
+    def test_walk_from_either_side(self, monkeypatch, eps, offset):
+        # the seed estimates cross at or just above the answer on every grid
+        # here, so only a start forced below it walks up
+        ms = [*range(2, 40), 100, 256]
+        expected = [min_and_approx_degree(m, eps) for m in ms]
+        try:
+            for m, d_star in zip(ms, expected):
+                monkeypatch.setattr(
+                    approxdeg, "_least_crossing",
+                    lambda evaluate, lo, g_lo, hi, g_hi: min(max(d_star + offset, lo + 1), hi),
+                )
+                _min_feasible_degree.cache_clear()
+                assert min_and_approx_degree(m, eps) == d_star, (m, eps, offset)
+        finally:
+            _min_feasible_degree.cache_clear()
 
     def test_out_of_regime_warns(self):
         with pytest.warns(UserWarning):
@@ -346,9 +365,7 @@ class TestDegreeBound:
         report = bpm_degree_bound(2, THIRD)
         assert report.threshold == 3  # ceil(2^1.5)
         assert report.epsilon_prime == Fraction(1, 196608)
-        assert report.and_degree == min_and_approx_degree(
-            4, Fraction(1, 196608), _allow_large=True
-        )
+        assert report.and_degree == min_and_approx_degree(4, Fraction(1, 196608))
         assert report.overall_bound == max(report.threshold, report.and_degree)
 
     def test_invariant_fields(self):

@@ -133,8 +133,12 @@ class TestVerify:
         assert "OK" in out
         assert str(1 << (n * n)) in out
 
-    def test_size_limit(self, capsys):
-        assert run(["verify", "--n", "5"]) == 2
+    @pytest.mark.parametrize("argv, cap", [(["--n", "5"], 4), (["--n", "6", "--huge"], 5)])
+    def test_size_limit(self, argv, cap, capsys):
+        assert run(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: n={argv[1]} exceeds the configured cap of {cap}\n"
 
     def test_n5_huge_passes(self, capsys):
         assert run(["verify", "--n", "5", "--huge"]) == 0
