@@ -50,10 +50,8 @@ def construct_path_input(n: int) -> BipartiteGraph:
     """The two-disjoint-paths input witnessing the sensitivity bound.
 
     With p = floor(n/2) + 1: P1 = (a_1, b_1, a_2, ..., b_{p-1}, a_p) and
-    P2 = (b_p, a_{p+1}, b_{p+1}, ..., a_n, b_n).  For even n = 2k this is
-    p = k + 1; for odd n, P1 uses (n+1)/2 left and (n-1)/2 right vertices
-    and P2 mirrors it on the rest, and only the stated odd-case bound is
-    asserted against the flip count.
+    P2 = (b_p, a_{p+1}, b_{p+1}, ..., a_n, b_n).  For odd n only the
+    stated odd-case bound is asserted against the flip count.
     """
     if n < 2:
         raise DomainError(f"construction needs n >= 2, got {n}")
