@@ -233,21 +233,26 @@ def _has_pm_with_forced_edge(g: BipartiteGraph, i: int, j: int) -> bool:
     return _match_rows(n, rows + ((1 << n) - 1,)) is not None
 
 
-def _alternating_reach(g: BipartiteGraph) -> tuple[list[int], list[int]] | None:
-    """One perfect matching M of g and each row's M-alternating reach.
+def _alternating_reach(
+    n: int, rows: tuple[int, ...], match_of_col: list[int] | None = None
+) -> tuple[list[int], list[int]] | None:
+    """One perfect matching M of the graph with these rows, and each row's
+    M-alternating reach.
 
-    Returns (match_of_col, reach), where bit r of reach[i] says that row r
-    is reachable from row i by steps "edge (i, j) of g, then back along M
-    to the row matched to j" (every row reaches itself); None when g has
-    no perfect matching.  An edge (i, j) lies in some perfect matching iff
-    the row matched to j reaches i (Lovasz-Plummer, Matching Theory).
+    A given match_of_col is reused as M when every one of its edges is in
+    rows; otherwise a fresh one is searched for.  Returns (match_of_col,
+    reach), where bit r of reach[i] says that row r is reachable from row i
+    by steps "edge (i, j), then back along M to the row matched to j"
+    (every row reaches itself); None when there is no perfect matching.  An
+    edge (i, j) lies in some perfect matching iff the row matched to j
+    reaches i (Lovasz-Plummer, Matching Theory).
     """
-    n = g.n
-    match_of_col = _match_rows(n, g.rows)
-    if match_of_col is None:
-        return None
+    if match_of_col is None or any(not rows[i] >> j & 1 for j, i in enumerate(match_of_col)):
+        match_of_col = _match_rows(n, rows)
+        if match_of_col is None:
+            return None
     reach = []
-    for i, row in enumerate(g.rows):
+    for i, row in enumerate(rows):
         acc = 1 << i
         while row:
             j = (row & -row).bit_length() - 1
@@ -263,30 +268,42 @@ def _alternating_reach(g: BipartiteGraph) -> tuple[list[int], list[int]] | None:
     return match_of_col, reach
 
 
+def _matching_classes(
+    n: int, rows: tuple[int, ...], match_of_col: list[int] | None = None
+) -> tuple[list[int] | None, set[int] | None]:
+    """(match_of_col, classes) of the graph with these rows.
+
+    match_of_col is one perfect matching (None when there is none; a given
+    one is reused as in _alternating_reach).  classes is the set of left
+    masks of the components when the graph is matching-covered, else None.
+
+    By the edge rule of _alternating_reach, every edge lies in a perfect
+    matching iff reachability is symmetric.  Being reflexive and transitive
+    it is then an equivalence, and the distinct reach masks partition the
+    rows; otherwise two of them overlap and their sizes sum past n.  Each
+    class is one component, since the components of a matching-covered
+    graph are elementary (Lovasz-Plummer).
+    """
+    found = _alternating_reach(n, rows, match_of_col)
+    if found is None:
+        return None, None
+    match_of_col, reach = found
+    classes = set(reach)
+    return match_of_col, (classes if sum(c.bit_count() for c in classes) == n else None)
+
+
 def is_matching_covered(g: BipartiteGraph) -> bool:
     """True iff g has a perfect matching and every edge lies in one.
 
     The empty graph is not matching-covered: PM(g) must be nonempty.
     """
-    found = _alternating_reach(g)
-    if found is None:
-        return False
-    match_of_col, reach = found
-    for i, row in enumerate(g.rows):
-        while row:
-            j = (row & -row).bit_length() - 1
-            row &= row - 1
-            if not reach[match_of_col[j]] >> i & 1:
-                return False
-    return True
+    return _matching_classes(g.n, g.rows)[1] is not None
 
 
 def is_elementary(g: BipartiteGraph) -> bool:
     """Connected and matching-covered: every row reaches every row by
     alternating paths of one perfect matching."""
-    found = _alternating_reach(g)
-    full = (1 << g.n) - 1
-    return found is not None and all(r == full for r in found[1])
+    return _matching_classes(g.n, g.rows)[1] == {(1 << g.n) - 1}
 
 
 @dataclass(frozen=True)

@@ -11,21 +11,22 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._errors import EmptyGraphError, PreconditionError, SizeLimitError
 from .bigraph import (
     BipartiteGraph,
     _components,
+    _match_rows,
+    _matching_classes,
     complement,
-    cyclomatic_number,
     has_perfect_matching,
-    is_elementary,
-    is_matching_covered,
 )
 from .ordered import permitted_edges, representing_sequence
 from .polyspace import DualPolynomial
+
+if TYPE_CHECKING:  # numpy is imported only by the functions that build arrays
+    import numpy as np
 
 MOBIUS_EDGE_MAX = 25
 SUPERGRAPH_N_MAX = 4
@@ -43,7 +44,9 @@ def bpm_star_value(g: BipartiteGraph) -> int:
 # cycles the LRU through more keys than it holds and misses on every scan.
 @lru_cache(maxsize=1 << 17)
 def _star_by_mask(n: int, mask: int) -> int:
-    return bpm_star_value(BipartiteGraph.from_mask(n, mask))
+    full = (1 << n) - 1
+    complement_rows = tuple(~(mask >> (i * n)) & full for i in range(n))
+    return 0 if _match_rows(n, complement_rows) is not None else 1
 
 
 def mobius_coefficient(g: BipartiteGraph) -> int:
@@ -64,23 +67,36 @@ def mobius_coefficient(g: BipartiteGraph) -> int:
         sub = (sub - 1) & m
 
 
+def _superset_rows(n: int, m: int, free: int):
+    """Row masks of every edge set m | sub with sub a subset of free, as
+    (h, rows) pairs from sub = free down to sub = 0."""
+    full = (1 << n) - 1
+    shifts = range(0, n * n, n)
+    sub = free
+    while True:
+        h = m | sub
+        yield h, tuple((h >> s) & full for s in shifts)
+        if sub == 0:
+            return
+        sub = (sub - 1) & free
+
+
 def _chi_sum_raw(g: BipartiteGraph) -> int:
     """The matching-covered sign sum with no domain guard (see Open Question).
 
-    (-1)^(|E(G)|+1) * sum over matching-covered H >= G of (-1)^chi(H).
+    (-1)^(|E(G)|+1) * sum over matching-covered H >= G of (-1)^chi(H), where
+    chi(H) = |E(H)| - 2n + #components.  Consecutive supersets share most
+    edges, so each reuses the last perfect matching found when it still fits.
     """
     n = g.n
     m = g.mask
-    free = ((1 << (n * n)) - 1) ^ m
     acc = 0
-    sub = free
-    while True:
-        h = BipartiteGraph.from_mask(n, m | sub)
-        if is_matching_covered(h):
-            acc += -1 if cyclomatic_number(h) & 1 else 1
-        if sub == 0:
-            break
-        sub = (sub - 1) & free
+    match = None
+    for h, rows in _superset_rows(n, m, ((1 << (n * n)) - 1) ^ m):
+        found, classes = _matching_classes(n, rows, match)
+        match = found or match
+        if classes is not None:
+            acc += -1 if (h.bit_count() + len(classes)) & 1 else 1
     return acc if (m.bit_count() + 1) & 1 == 0 else -acc
 
 
@@ -113,15 +129,7 @@ def elementary_sum_coefficient(g: BipartiteGraph) -> int:
             "neither bipartition lies inside a single connected component"
         )
     m = g.mask
-    free = ((1 << (n * n)) - 1) ^ m
-    acc = 0
-    sub = free
-    while True:
-        if is_elementary(BipartiteGraph.from_mask(n, m | sub)):
-            acc += -1 if sub.bit_count() & 1 else 1
-        if sub == 0:
-            return acc
-        sub = (sub - 1) & free
+    return _elementary_sum(n, m, ((1 << (n * n)) - 1) ^ m)
 
 
 def permitted_sum_coefficient(h: BipartiteGraph) -> int:
@@ -133,15 +141,21 @@ def permitted_sum_coefficient(h: BipartiteGraph) -> int:
     pmask = 0
     for i, j in permitted_edges(s):
         pmask |= 1 << ((i - 1) * n + (j - 1))
-    m = h.mask
+    return _elementary_sum(n, h.mask, pmask)
+
+
+def _elementary_sum(n: int, m: int, free: int) -> int:
+    """Sum over elementary H = m | sub, sub a subset of free, of (-1)^|sub|."""
+    elementary = {(1 << n) - 1}
     acc = 0
-    sub = pmask
-    while True:
-        if is_elementary(BipartiteGraph.from_mask(n, m | sub)):
-            acc += -1 if sub.bit_count() & 1 else 1
-        if sub == 0:
-            return acc
-        sub = (sub - 1) & pmask
+    match = None
+    edges = m.bit_count()
+    for h, rows in _superset_rows(n, m, free):
+        found, classes = _matching_classes(n, rows, match)
+        match = found or match
+        if classes == elementary:
+            acc += -1 if (h.bit_count() - edges) & 1 else 1
+    return acc
 
 
 def star_table(n: int, huge: bool = False) -> np.ndarray:
@@ -150,6 +164,8 @@ def star_table(n: int, huge: bool = False) -> np.ndarray:
     Built as the OR superset closure of the n! permutation masks, so the table
     is independent of the per-graph matching code.
     """
+    import numpy as np
+
     cap = TABLE_N_MAX_HUGE if huge else TABLE_N_MAX
     if n > cap:
         raise SizeLimitError("n", n, cap)
@@ -173,16 +189,22 @@ def mobius_transform(values: np.ndarray, bits: int) -> np.ndarray:
     """Subset-lattice inversion in at least int32, exact for 0/1 input: after b
     sweeps an entry is a signed sum of at most 2^b inputs, so |entry| <= 2^25 <
     2^31 up to n = TABLE_N_MAX_HUGE; int64 input stays int64."""
+    import numpy as np
+
     return _lattice_sweep(values.astype(np.result_type(values.dtype, np.int32)), bits, np.subtract)
 
 
 def zeta_transform(values: np.ndarray, bits: int) -> np.ndarray:
     """Subset sums: the inverse of the Mobius transform."""
+    import numpy as np
+
     return _lattice_sweep(values.copy(), bits, np.add)
 
 
 def coefficient_table(n: int, huge: bool = False) -> DualPolynomial:
     """Complete exact coefficient table of BPM*_n via the fast transform."""
+    import numpy as np
+
     coeffs = mobius_transform(star_table(n, huge), n * n)
     nz = np.nonzero(coeffs)[0]
     return DualPolynomial(n, dict(zip(nz.tolist(), coeffs[nz].tolist())))

@@ -90,8 +90,8 @@ class DualPolynomial:
 
     @classmethod
     def from_tsv(cls, text: str, n: int) -> "DualPolynomial":
-        """Parse a `to_tsv` dump; a malformed line raises ValueError naming
-        its 1-based number."""
+        """Parse a `to_tsv` dump; a malformed line, or one that repeats an
+        earlier line's term, raises ValueError naming its 1-based number."""
         terms: dict[int, int] = {}
         for number, line in enumerate(text.splitlines(), 1):
             line = line.strip()
@@ -107,13 +107,15 @@ class DualPolynomial:
                         mask |= cls._edge_bit(int(i_str), int(j_str), n)
             except ValueError as exc:
                 raise ValueError(f"line {number}: {exc}") from None
-            if c:
-                terms[mask] = c
-        return cls(n, terms)
+            if mask in terms:
+                raise ValueError(f"line {number}: duplicate term {edge_str}")
+            terms[mask] = c
+        return cls(n, _nonzero(terms))
 
     @classmethod
     def from_json(cls, text: str) -> "DualPolynomial":
-        """Parse a `to_json` dump; any other shape raises ValueError."""
+        """Parse a `to_json` dump; any other shape, or a repeated term,
+        raises ValueError."""
         data = json.loads(text)
         if not (isinstance(data, dict) and _is_int(data.get("n")) and 1 <= data["n"] <= N_MAX
                 and isinstance(data.get("terms"), list)):
@@ -130,9 +132,15 @@ class DualPolynomial:
                     raise ValueError(f"expected an edge [i, j] of integers, got {e!r}")
                 mask |= cls._edge_bit(e[0], e[1], n)
             c = int(t["coeff"])
-            if c:
-                terms[mask] = c
-        return cls(n, terms)
+            if mask in terms:
+                raise ValueError(f"duplicate term with edges {t['edges']}")
+            terms[mask] = c
+        return cls(n, _nonzero(terms))
+
+
+def _nonzero(terms: dict[int, int]) -> dict[int, int]:
+    """The terms without zero coefficients, which a dump may spell out."""
+    return terms if all(terms.values()) else {m: c for m, c in terms.items() if c}
 
 
 def _is_int(value) -> bool:

@@ -9,6 +9,7 @@ from bpmdual._errors import SizeLimitError
 from bpmdual.bigraph import (
     BipartiteGraph,
     _has_pm_with_forced_edge,
+    _matching_classes,
     all_graphs,
     complement,
     connected_components,
@@ -252,6 +253,62 @@ class TestAlternatingReach:
         seen = self.check(seeded_graphs(n, 1500, seed=n))
         # every outcome is exercised, including matching-covered but disconnected
         assert seen == {(False, False), (True, False), (True, True)}
+
+
+def mask_walk_graphs():
+    """Every graph with n <= 3, then a seeded sample of n = 4 masks."""
+    for n in (1, 2, 3):
+        yield from all_graphs(n)
+    rng = random.Random(4)
+    for _ in range(1500):
+        yield BipartiteGraph.from_mask(4, rng.getrandbits(16))
+
+
+class TestMaskWalk:
+    """The rows-level predicate behind is_matching_covered and is_elementary
+    gives one verdict whatever perfect matching it is handed to start from."""
+
+    def test_verdict_ignores_the_hint(self):
+        previous = None  # the matching found for the previous graph of the same n
+        verdicts = set()
+        for graph in mask_walk_graphs():
+            n, rows = graph.n, graph.rows
+            match, classes = _matching_classes(n, rows)
+            covered = per_edge_matching_covered(graph)
+            assert (classes is not None) == covered, graph
+            assert (classes == {(1 << n) - 1}) == (covered and connected_components(graph) == 1)
+            assert (match is not None) == has_perfect_matching(graph), graph
+            # Every perfect matching of K_{n,n}: a stale hint when one of its
+            # edges is missing, a foreign one that fits otherwise.
+            hints = [list(p) for p in permutations(range(n))]
+            if previous is not None and len(previous) == n:
+                hints.append(previous)
+            for hint in hints:
+                got_match, got_classes = _matching_classes(n, rows, list(hint))
+                assert got_classes == classes, (graph, hint)
+                fits = all(rows[i] >> j & 1 for j, i in enumerate(hint))
+                if fits:
+                    assert got_match == hint  # reused, not searched for again
+                elif got_match is not None:
+                    assert all(rows[i] >> j & 1 for j, i in enumerate(got_match))
+                    assert sorted(got_match) == list(range(n))
+                else:
+                    assert match is None
+            if match is not None:
+                previous = match
+            verdicts.add((covered, classes == {(1 << n) - 1}))
+        assert verdicts == {(False, False), (True, False), (True, True)}
+
+    def test_classes_count_the_components(self):
+        for graph in mask_walk_graphs():
+            classes = _matching_classes(graph.n, graph.rows)[1]
+            if classes is not None:
+                assert len(classes) == connected_components(graph), graph
+                left = 0
+                for c in classes:
+                    assert c & left == 0
+                    left |= c
+                assert left == (1 << graph.n) - 1
 
 
 class TestHetyei:

@@ -271,6 +271,25 @@ class TestEval:
         assert captured.err.startswith("error: line 2: ")
         assert captured.err.count("\n") == 1 and bad in captured.err
 
+    def test_duplicate_tsv_term_names_the_line(self, tmp_path, write_graph, capsys):
+        poly_file = tmp_path / "p.tsv"
+        poly_file.write_text("1\t(1,1)\n5\t(1,1)\n")
+        graph = write_graph("1\n1\n")
+        assert run(["eval", "--graph", graph, "--poly", str(poly_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2: duplicate term (1,1)\n"
+
+    def test_duplicate_json_term_exits_2(self, tmp_path, write_graph, capsys):
+        poly_file = tmp_path / "p.json"
+        poly_file.write_text('{"n": 1, "terms": [{"coeff": "1", "edges": [[1, 1]]},'
+                             ' {"coeff": "5", "edges": [[1, 1]]}]}')
+        graph = write_graph("1\n1\n")
+        assert run(["eval", "--graph", graph, "--poly", str(poly_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: duplicate term with edges [[1, 1]]\n"
+
     def test_round_trip_json(self, tmp_path, path_graph, capsys):
         poly_file = tmp_path / "p.json"
         assert run(["poly", "--n", "2", "--format", "json", "--out", str(poly_file)]) == 0
