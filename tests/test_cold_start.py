@@ -52,9 +52,8 @@ def test_cli_without_numpy_matches_a_normal_run(tmp_path):
         *(["coeff", "--graph", str(graph), "--method", method]
           for method in ("formula", "mobius", "chisum", "elemsum", "permitted")),
     ]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    child = subprocess.run([sys.executable, "-c", CHILD, json.dumps(commands)], env=env,
+    child = subprocess.run([sys.executable, "-c", CHILD, json.dumps(commands)],
+                           env=dict(os.environ, PYTHONPATH=str(SRC)),
                            capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
     report = json.loads(child.stdout)
