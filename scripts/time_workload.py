@@ -5,8 +5,9 @@
 Each pair runs `perfbench/run.py` of both checkouts, each from its own root
 and with the same seed, one after the other; the side that goes first
 alternates from pair to pair so that slow drift of a shared machine falls on
-both. Pair k uses seed --seed + k. Only the last line of run.py's stdout is
-read: the JSON object with its end-to-end metrics. The record written to
+both. Pair k uses seed --seed + k, and every run lasts the run_seconds of
+the changed checkout's BENCHMARK.json (--tiny: one pass of the smallest
+inputs, for the tests). Only the last line of run.py's stdout is read: the JSON object with its end-to-end metrics. The record written to
 --out (default BENCH_<workload>.json at the root of this repository) holds
 every pair's metrics, each side's median and quartiles, how many pairs the
 change won on each metric, both commits and the environment.
@@ -37,13 +38,11 @@ def _git(root: Path, *args: str) -> str | None:
     return out.stdout.strip()
 
 
-def _directions(root: Path) -> dict[str, str]:
-    """Metric name -> "lower" or "higher", from the checkout's BENCHMARK.json."""
+def _spec(root: Path) -> dict:
     try:
-        spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+        return json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     except (OSError, ValueError):
         return {}
-    return {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, tiny: bool) -> dict:
@@ -89,8 +88,8 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="root of the changed checkout")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=100, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=30, help="run.py --seconds")
-    parser.add_argument("--tiny", action="store_true", help="run.py --tiny, for the tests")
+    parser.add_argument("--tiny", action="store_true",
+                        help="run.py --tiny --seconds 0, for the tests")
     parser.add_argument("--out", type=Path, help="default: BENCH_<workload>.json here")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -99,6 +98,13 @@ def main(argv=None) -> int:
     for side, root in roots.items():
         if not (root / "perfbench" / "run.py").is_file():
             parser.error(f"--{side} {root} has no perfbench/run.py")
+    spec = _spec(roots["change"])
+    if args.tiny:
+        seconds = 0
+    elif "run_seconds" in spec:
+        seconds = spec["run_seconds"]
+    else:
+        parser.error(f"--change {roots['change']} has no BENCHMARK.json with run_seconds")
     out_path = args.out or ROOT / f"BENCH_{args.workload}.json"
 
     pairs = []
@@ -107,14 +113,14 @@ def main(argv=None) -> int:
         order = SIDES if k % 2 == 0 else SIDES[::-1]
         pair = {"pair": k, "seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run_once(roots[side], args.workload, seed, args.seconds, args.tiny)
+            pair[side] = run_once(roots[side], args.workload, seed, seconds, args.tiny)
         pairs.append(pair)
         print(f"pair {k} (seed {seed}, {order[0]} first): "
               + ", ".join(f"{side} wall_s {pair[side]['metrics'].get('wall_s', float('nan')):.3f}"
                           for side in SIDES), file=sys.stderr)
 
     record = {
-        "what": f"perfbench/run.py --workload {args.workload} --seconds {args.seconds:g}"
+        "what": f"perfbench/run.py --workload {args.workload} --seconds {seconds:g}"
                 f"{' --tiny' if args.tiny else ''}, parent and change alternating in {args.pairs} pairs",
         "workload": args.workload,
         "commits": {side: {"commit": _git(root, "rev-parse", "HEAD"),
@@ -127,7 +133,8 @@ def main(argv=None) -> int:
             "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()}",
         },
         "all_correct": all(p[side]["correct"] for p in pairs for side in SIDES),
-        "summary": summarize(pairs, _directions(roots["change"])),
+        "summary": summarize(pairs, {m["name"]: m["better"]
+                                     for m in spec.get("end_to_end", [])}),
         "pairs": pairs,
     }
     out_path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")

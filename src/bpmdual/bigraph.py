@@ -233,24 +233,30 @@ def _has_pm_with_forced_edge(g: BipartiteGraph, i: int, j: int) -> bool:
     return _match_rows(n, rows + ((1 << n) - 1,)) is not None
 
 
-def _alternating_reach(
+def _matching_classes(
     n: int, rows: tuple[int, ...], match_of_col: list[int] | None = None
-) -> tuple[list[int], list[int]] | None:
-    """One perfect matching M of the graph with these rows, and each row's
-    M-alternating reach.
+) -> tuple[list[int] | None, set[int] | None]:
+    """(match_of_col, classes) of the graph with these rows.
 
-    A given match_of_col is reused as M when every one of its edges is in
-    rows; otherwise a fresh one is searched for.  Returns (match_of_col,
-    reach), where bit r of reach[i] says that row r is reachable from row i
-    by steps "edge (i, j), then back along M to the row matched to j"
-    (every row reaches itself); None when there is no perfect matching.  An
-    edge (i, j) lies in some perfect matching iff the row matched to j
-    reaches i (Lovasz-Plummer, Matching Theory).
+    match_of_col is one perfect matching M, None when there is none.  A
+    given match_of_col is reused as M when every one of its edges is in
+    rows; otherwise a fresh one is searched for.  classes is the set of left
+    masks of the components when the graph is matching-covered, else None.
+
+    Bit r of reach[i] says that row r is reachable from row i by steps
+    "edge (i, j), then back along M to the row matched to j" (every row
+    reaches itself).  An edge (i, j) lies in some perfect matching iff the
+    row matched to j reaches i (Lovasz-Plummer, Matching Theory).  So every
+    edge lies in a perfect matching iff reachability is symmetric.  Being
+    reflexive and transitive it is then an equivalence, and the distinct
+    reach masks partition the rows; otherwise two of them overlap and their
+    sizes sum past n.  Each class is one component, since the components of
+    a matching-covered graph are elementary (Lovasz-Plummer).
     """
     if match_of_col is None or any(not rows[i] >> j & 1 for j, i in enumerate(match_of_col)):
         match_of_col = _match_rows(n, rows)
         if match_of_col is None:
-            return None
+            return None, None
     reach = []
     for i, row in enumerate(rows):
         acc = 1 << i
@@ -265,29 +271,6 @@ def _alternating_reach(
         for i in range(n):
             if reach[i] & bit:
                 reach[i] |= via
-    return match_of_col, reach
-
-
-def _matching_classes(
-    n: int, rows: tuple[int, ...], match_of_col: list[int] | None = None
-) -> tuple[list[int] | None, set[int] | None]:
-    """(match_of_col, classes) of the graph with these rows.
-
-    match_of_col is one perfect matching (None when there is none; a given
-    one is reused as in _alternating_reach).  classes is the set of left
-    masks of the components when the graph is matching-covered, else None.
-
-    By the edge rule of _alternating_reach, every edge lies in a perfect
-    matching iff reachability is symmetric.  Being reflexive and transitive
-    it is then an equivalence, and the distinct reach masks partition the
-    rows; otherwise two of them overlap and their sizes sum past n.  Each
-    class is one component, since the components of a matching-covered
-    graph are elementary (Lovasz-Plummer).
-    """
-    found = _alternating_reach(n, rows, match_of_col)
-    if found is None:
-        return None, None
-    match_of_col, reach = found
     classes = set(reach)
     return match_of_col, (classes if sum(c.bit_count() for c in classes) == n else None)
 

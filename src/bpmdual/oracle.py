@@ -69,13 +69,13 @@ def mobius_coefficient(g: BipartiteGraph) -> int:
 
 def _superset_rows(n: int, m: int, free: int):
     """Row masks of every edge set m | sub with sub a subset of free, as
-    (h, rows) pairs from sub = free down to sub = 0."""
+    (sub, rows) pairs from sub = free down to sub = 0."""
     full = (1 << n) - 1
     shifts = range(0, n * n, n)
     sub = free
     while True:
         h = m | sub
-        yield h, tuple((h >> s) & full for s in shifts)
+        yield sub, tuple((h >> s) & full for s in shifts)
         if sub == 0:
             return
         sub = (sub - 1) & free
@@ -92,11 +92,11 @@ def _chi_sum_raw(g: BipartiteGraph) -> int:
     m = g.mask
     acc = 0
     match = None
-    for h, rows in _superset_rows(n, m, ((1 << (n * n)) - 1) ^ m):
+    for sub, rows in _superset_rows(n, m, ((1 << (n * n)) - 1) ^ m):
         found, classes = _matching_classes(n, rows, match)
         match = found or match
         if classes is not None:
-            acc += -1 if (h.bit_count() + len(classes)) & 1 else 1
+            acc += -1 if ((m | sub).bit_count() + len(classes)) & 1 else 1
     return acc if (m.bit_count() + 1) & 1 == 0 else -acc
 
 
@@ -149,12 +149,11 @@ def _elementary_sum(n: int, m: int, free: int) -> int:
     elementary = {(1 << n) - 1}
     acc = 0
     match = None
-    edges = m.bit_count()
-    for h, rows in _superset_rows(n, m, free):
+    for sub, rows in _superset_rows(n, m, free):
         found, classes = _matching_classes(n, rows, match)
         match = found or match
         if classes == elementary:
-            acc += -1 if (h.bit_count() - edges) & 1 else 1
+            acc += -1 if sub.bit_count() & 1 else 1
     return acc
 
 

@@ -229,19 +229,64 @@ def seeded_graphs(n, count, seed):
         yield BipartiteGraph.from_mask(n, mask)
 
 
+def hints(n, match, previous, rng):
+    """Perfect matchings of K_{n,n} to hand the rows-level predicate: all of
+    them for n <= 3; else the previous graph's, a seeded random one and, when
+    the graph has one, its own with two columns swapped.  Each is stale when
+    one of its edges is missing and foreign when it fits."""
+    if n <= 3:
+        return [list(p) for p in permutations(range(n))]
+    out = [] if previous is None else [previous]
+    out.append(rng.sample(range(n), n))
+    if match is not None:
+        j, k = rng.sample(range(n), 2)
+        swapped = list(match)
+        swapped[j], swapped[k] = swapped[k], swapped[j]
+        out.append(swapped)
+    return out
+
+
 class TestAlternatingReach:
     """One perfect matching plus alternating reachability equals the
-    per-edge definitions of both predicates."""
+    per-edge definitions of both predicates, whatever perfect matching the
+    rows-level code is handed to start from, and its classes are the
+    components."""
 
     @staticmethod
     def check(graphs):
         seen = set()
+        previous = None  # the matching found for the previous graph of the same n
+        rng = random.Random(0)
         for graph in graphs:
+            n, rows = graph.n, graph.rows
             covered = per_edge_matching_covered(graph)
             elementary = per_edge_elementary(graph)
             assert is_matching_covered(graph) == covered, graph
             assert is_elementary(graph) == elementary, graph
             seen.add((covered, elementary))
+            match, classes = _matching_classes(n, rows)
+            assert (match is not None) == has_perfect_matching(graph), graph
+            if classes is not None:
+                assert len(classes) == connected_components(graph), graph
+                left = 0
+                for c in classes:
+                    assert c & left == 0
+                    left |= c
+                assert left == (1 << n) - 1
+            if previous is not None and len(previous) != n:
+                previous = None
+            for hint in hints(n, match, previous, rng):
+                got_match, got_classes = _matching_classes(n, rows, list(hint))
+                assert got_classes == classes, (graph, hint)
+                if all(rows[i] >> j & 1 for j, i in enumerate(hint)):
+                    assert got_match == hint  # reused, not searched for again
+                elif got_match is not None:
+                    assert all(rows[i] >> j & 1 for j, i in enumerate(got_match))
+                    assert sorted(got_match) == list(range(n))
+                else:
+                    assert match is None
+            if match is not None:
+                previous = match
         return seen
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -253,62 +298,6 @@ class TestAlternatingReach:
         seen = self.check(seeded_graphs(n, 1500, seed=n))
         # every outcome is exercised, including matching-covered but disconnected
         assert seen == {(False, False), (True, False), (True, True)}
-
-
-def mask_walk_graphs():
-    """Every graph with n <= 3, then a seeded sample of n = 4 masks."""
-    for n in (1, 2, 3):
-        yield from all_graphs(n)
-    rng = random.Random(4)
-    for _ in range(1500):
-        yield BipartiteGraph.from_mask(4, rng.getrandbits(16))
-
-
-class TestMaskWalk:
-    """The rows-level predicate behind is_matching_covered and is_elementary
-    gives one verdict whatever perfect matching it is handed to start from."""
-
-    def test_verdict_ignores_the_hint(self):
-        previous = None  # the matching found for the previous graph of the same n
-        verdicts = set()
-        for graph in mask_walk_graphs():
-            n, rows = graph.n, graph.rows
-            match, classes = _matching_classes(n, rows)
-            covered = per_edge_matching_covered(graph)
-            assert (classes is not None) == covered, graph
-            assert (classes == {(1 << n) - 1}) == (covered and connected_components(graph) == 1)
-            assert (match is not None) == has_perfect_matching(graph), graph
-            # Every perfect matching of K_{n,n}: a stale hint when one of its
-            # edges is missing, a foreign one that fits otherwise.
-            hints = [list(p) for p in permutations(range(n))]
-            if previous is not None and len(previous) == n:
-                hints.append(previous)
-            for hint in hints:
-                got_match, got_classes = _matching_classes(n, rows, list(hint))
-                assert got_classes == classes, (graph, hint)
-                fits = all(rows[i] >> j & 1 for j, i in enumerate(hint))
-                if fits:
-                    assert got_match == hint  # reused, not searched for again
-                elif got_match is not None:
-                    assert all(rows[i] >> j & 1 for j, i in enumerate(got_match))
-                    assert sorted(got_match) == list(range(n))
-                else:
-                    assert match is None
-            if match is not None:
-                previous = match
-            verdicts.add((covered, classes == {(1 << n) - 1}))
-        assert verdicts == {(False, False), (True, False), (True, True)}
-
-    def test_classes_count_the_components(self):
-        for graph in mask_walk_graphs():
-            classes = _matching_classes(graph.n, graph.rows)[1]
-            if classes is not None:
-                assert len(classes) == connected_components(graph), graph
-                left = 0
-                for c in classes:
-                    assert c & left == 0
-                    left |= c
-                assert left == (1 << graph.n) - 1
 
 
 class TestHetyei:

@@ -14,6 +14,7 @@ import json, sys
 from pathlib import Path
 side = Path(__file__).resolve().parent.parent.name
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
+assert sys.argv[sys.argv.index("--seconds") + 1] == "7"  # run_seconds of BENCHMARK.json
 with open(Path(__file__).resolve().parent.parent.parent / "order.log", "a") as fh:
     fh.write(side + "\\n")
 print(json.dumps({"correct": False}))
@@ -36,7 +37,7 @@ def test_sides_alternate_and_only_the_last_line_counts(tmp_path, capsys):
         (tmp_path / side / "perfbench").mkdir(parents=True)
         (tmp_path / side / "perfbench" / "run.py").write_text(FAKE_RUN)
     (tmp_path / "change" / "BENCHMARK.json").write_text(
-        json.dumps({"end_to_end": [{"name": "wall_s", "better": "lower"}]}))
+        json.dumps({"run_seconds": 7, "end_to_end": [{"name": "wall_s", "better": "lower"}]}))
     out = tmp_path / "bench.json"
     assert load_script().main(["--workload", "exact", "--parent", str(tmp_path / "parent"),
                                "--change", str(tmp_path / "change"), "--pairs", "3",
@@ -58,7 +59,7 @@ def test_sides_alternate_and_only_the_last_line_counts(tmp_path, capsys):
 def test_tiny_run_of_this_checkout(tmp_path, capsys):
     out = tmp_path / "bench.json"
     assert load_script().main(["--workload", "table5", "--parent", str(ROOT), "--change",
-                               str(ROOT), "--pairs", "1", "--seconds", "0", "--tiny",
+                               str(ROOT), "--pairs", "1", "--tiny",
                                "--out", str(out)]) == 0
     capsys.readouterr()
     record = json.loads(out.read_text())
