@@ -59,44 +59,75 @@ _U = 2.0**-53  # unit roundoff of IEEE double
 @dataclass(frozen=True)
 class UnivariatePolynomial:
     """Exact polynomial given by its values at degree + 1 distinct integer
-    nodes in [0, m]; evaluated in Lagrange form."""
+    nodes in [0, m], sorted ascending; evaluated in Lagrange form."""
 
     m: int
     nodes: tuple[int, ...]
     values: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        if any(a >= b for a, b in zip(self.nodes, self.nodes[1:])):
+            raise ValueError(f"nodes must be strictly increasing, got {self.nodes}")
+
+    @classmethod
+    def alternating(cls, m: int, nodes: Sequence[int]) -> UnivariatePolynomial:
+        """The interpolant of +-1 data on sorted nodes, +1 at the largest."""
+        d = len(nodes) - 1
+        signs = tuple(Fraction(1 if (d - i) % 2 == 0 else -1) for i in range(d + 1))
+        return cls(m, tuple(nodes), signs)
 
     @property
     def degree(self) -> int:
         return len(self.nodes) - 1
 
     @cached_property
-    def _weights(self) -> list[Fraction]:
-        """v_i / prod_{j != i} (x_i - x_j), the barycentric weights times the data."""
-        return [
-            Fraction(v) / math.prod([xi - xj for xj in self.nodes if xj != xi])
-            for xi, v in zip(self.nodes, self.values)
-        ]
+    def _abs_d(self) -> list[int]:
+        return _abs_denominators(self.nodes)
 
     def evaluate(self, t) -> Fraction:
-        """p(t) = omega(t) sum_i w_i / (t - x_i) at a rational point; exact."""
-        t = Fraction(t)
+        """p(t) = sum_i v_i omega(t) / ((t - x_i) D_i) at a rational point,
+        exact; for sorted nodes sign(D_i) = (-1)^(d - i)."""
+        if not isinstance(t, int):
+            t = Fraction(t)
         if t in self.nodes:
             return Fraction(self.values[self.nodes.index(t)])
-        omega = math.prod([t - x for x in self.nodes])
-        return omega * sum(w / (t - x) for x, w in zip(self.nodes, self._weights))
+        omega = _product([t - x for x in self.nodes])
+        d = self.degree
+        return sum(
+            (v if (d - i) % 2 == 0 else -v) * Fraction(omega, (t - x) * ad)
+            for i, (x, v, ad) in enumerate(zip(self.nodes, self.values, self._abs_d))
+        )
 
     def integer_values(self) -> list[Fraction]:
         return [self.evaluate(k) for k in range(self.m + 1)]
 
 
-def epsilon_prime(n: int, eps) -> Fraction:
-    """Per-monomial error budget: eps * 2^(-2n) * (n+2)^(-(2n+2)), exact."""
+def _checked_eps(eps) -> Fraction:
     eps = Fraction(eps)
-    if n < 1:
-        raise DomainError(f"n must be at least 1, got {n}")
     if not 0 < eps <= Fraction(1, 3):
         raise DomainError(f"epsilon must lie in (0, 1/3], got {eps}")
-    return eps / (1 << (2 * n)) / Fraction((n + 2) ** (2 * n + 2))
+    return eps
+
+
+def _checked_and_args(m: int, eps) -> Fraction:
+    """eps as a Fraction once m and eps are valid for one AND query."""
+    if m < 1:
+        raise DomainError(f"m must be at least 1, got {m}")
+    if m > AND_M_MAX:
+        raise SizeLimitError("m", m, AND_M_MAX)
+    return _checked_eps(eps)
+
+
+def _in_regime(m: int, eps: Fraction) -> bool:
+    """eps >= 2^(-m log2 m), the regime of the cited AND degree bound."""
+    return m < 2 or _log2_fraction(eps) >= -m * math.log2(m)
+
+
+def epsilon_prime(n: int, eps) -> Fraction:
+    """Per-monomial error budget: eps * 2^(-2n) * (n+2)^(-(2n+2)), exact."""
+    if n < 1:
+        raise DomainError(f"n must be at least 1, got {n}")
+    return _checked_eps(eps) / (1 << (2 * n)) / Fraction((n + 2) ** (2 * n + 2))
 
 
 def _log2_fraction(fr: Fraction) -> float:
@@ -124,24 +155,6 @@ def _product(factors: list[int]) -> int:
 def _abs_denominators(xs: Sequence[int]) -> list[int]:
     """|prod_{j != i} (x_i - x_j)| for each node, as exact integers."""
     return [abs(_product([xi - xj for xj in xs if xj != xi])) for xi in xs]
-
-
-def _value_exact(m: int, xs: Sequence[int], abs_d: Sequence[int]) -> Fraction:
-    """V(X): value at m of the alternating interpolant, exact and positive."""
-    omega = math.prod([m - xj for xj in xs])
-    return sum(Fraction(omega // (m - xi), d) for xi, d in zip(xs, abs_d))
-
-
-def _q_exact(xs: Sequence[int], abs_d: Sequence[int], sigma_last: int, y: int) -> Fraction:
-    """Exact value at grid point y of the interpolant through (x_i, sigma_i).
-
-    The data alternates and ends with sigma_last at the largest node; for
-    sorted nodes, sign(prod_{j != i}(x_i - x_j)) also alternates, so each
-    term is sigma_last * omega(y) / ((y - x_i) |D_i|).
-    """
-    omega = math.prod([y - xj for xj in xs])
-    total = sum(Fraction(omega // (y - xi), d) for xi, d in zip(xs, abs_d))
-    return sigma_last * total
 
 
 def _chebyshev_int_points(right_end: int, count: int) -> list[int]:
@@ -295,15 +308,17 @@ class _Exchange:
     def __init__(self, m: int, xs: Sequence[int]):
         self.m = m
         self.xs = sorted(xs)
-        self._abs_d: list[int] | None = None
+        self._interpolant: UnivariatePolynomial | None = None
         self._xf = np.array(self.xs, dtype=np.float64)
         self._derive_logs()
 
     @property
-    def abs_d(self) -> list[int]:
-        if self._abs_d is None:
-            self._abs_d = _abs_denominators(self.xs)
-        return self._abs_d
+    def interpolant(self) -> UnivariatePolynomial:
+        """The alternating interpolant q of the current nodes, built on
+        first use after each swap."""
+        if self._interpolant is None:
+            self._interpolant = UnivariatePolynomial.alternating(self.m, self.xs)
+        return self._interpolant
 
     def _derive_logs(self) -> tuple[np.ndarray, np.ndarray]:
         """Recompute the float state from the node list; returns the
@@ -326,12 +341,12 @@ class _Exchange:
         """Enclose q at `points` (default: every free grid point) and V(X).
 
         If no point is a proven violation |q| > 1, the points the bound
-        leaves undecided are settled by exact `_q_exact`.  A full scan also
-        returns a verdict: infeasible if the bound on V(X) lies below the
-        target, feasible if V(X)/M >= target with M the proven grid maximum
-        of |q| (1 once every free point is proven within [-1, 1]).  Only
-        when nothing is left to swap and V(X) straddles the target is it
-        computed exactly, by `_value_exact`."""
+        leaves undecided are settled by the exact `interpolant`.  A full
+        scan also returns a verdict: infeasible if the bound on V(X) lies
+        below the target, feasible if V(X)/M >= target with M the proven
+        grid maximum of |q| (1 once every free point is proven within
+        [-1, 1]).  Only when nothing is left to swap and V(X) straddles the
+        target is V(X) = q(m) computed exactly."""
         dm, de = self._derive_logs()
         full = points is None
         if full:
@@ -350,7 +365,7 @@ class _Exchange:
         violations = [(int(points[i]), 1 if s[i] > 0 else -1) for i in idx]
         if not violations:
             for i in np.nonzero(unsettled)[0]:
-                qv = _q_exact(self.xs, self.abs_d, 1, int(points[i]))
+                qv = self.interpolant.evaluate(int(points[i]))
                 if abs(qv) > 1:
                     violations.append((int(points[i]), 1 if qv > 0 else -1))
                 else:
@@ -369,7 +384,7 @@ class _Exchange:
             elif v_lo >= target * max_q:
                 verdict = True
             elif not violations:  # max_q = 1: q itself is feasible
-                verdict = _value_exact(self.m, self.xs, self.abs_d) >= target
+                verdict = self.interpolant.evaluate(self.m) >= target
         return _Scan(violations, verdict, log_v, log_max_q)
 
     def _replace(self, pos: int, y: int) -> None:
@@ -378,7 +393,7 @@ class _Exchange:
         xr = self.xs.pop(pos)
         ins = bisect_left(self.xs, y)
         self.xs.insert(ins, y)
-        self._abs_d = None
+        self._interpolant = None
         xf, logs = self._xf, self._term_logs
         log_y = np.log(np.abs(xf - y))
         gap_r = np.abs(xf - xr)
@@ -435,7 +450,7 @@ class _Exchange:
                 if _value_bounds(self.m, self._xf)[1] < before_lo:
                     return True
             self.xs[:] = saved_xs
-            self._abs_d = None
+            self._interpolant = None
             self._term_logs[:] = saved_logs
             self._xf[:] = saved_xf
             self._log_m_sum = saved_log_m_sum
@@ -601,14 +616,8 @@ def min_and_approx_degree(m: int, eps, tolerance: Fraction = DEFAULT_TOLERANCE) 
     slack enters the decision; `tolerance` is accepted and has no effect
     (reported degrees are tolerance-stable).
     """
-    eps = Fraction(eps)
-    if m < 1:
-        raise DomainError(f"m must be at least 1, got {m}")
-    if m > AND_M_MAX:
-        raise SizeLimitError("m", m, AND_M_MAX)
-    if not 0 < eps <= Fraction(1, 3):
-        raise DomainError(f"epsilon must lie in (0, 1/3], got {eps}")
-    if m >= 2 and _log2_fraction(eps) < -m * math.log2(m):
+    eps = _checked_and_args(m, eps)
+    if not _in_regime(m, eps):
         warnings.warn(
             f"epsilon below the cited regime 2^(-m log2 m) for m={m}; computing anyway",
             stacklevel=2,
@@ -628,24 +637,17 @@ def build_and_approximant(m: int, eps) -> UnivariatePolynomial:
     maximum (or by 1/q(m) where that overshoots), and is checked at every
     integer point in exact arithmetic against eps itself, without slack.
     """
-    eps = Fraction(eps)
-    if m < 1:
-        raise DomainError(f"m must be at least 1, got {m}")
-    if m > AND_M_MAX:
-        raise SizeLimitError("m", m, AND_M_MAX)
-    if not 0 < eps <= Fraction(1, 3):
-        raise DomainError(f"epsilon must lie in (0, 1/3], got {eps}")
+    eps = _checked_and_args(m, eps)
     degree, nodes = _min_feasible_degree(m, and_feasibility_target(eps))
     if degree >= m:
         poly = UnivariatePolynomial(m, tuple(range(m + 1)), (Fraction(0),) * m + (Fraction(1),))
         values = poly.integer_values()
     else:
-        d = len(nodes) - 1
-        signs = tuple(Fraction(1 if (d - i) % 2 == 0 else -1) for i in range(d + 1))
-        q = UnivariatePolynomial(m, nodes, signs).integer_values()
+        alternating = UnivariatePolynomial.alternating(m, nodes)
+        q = alternating.integer_values()
         grid_max = max(abs(v) for v in q[:m])
         scale = eps / grid_max if q[m] / grid_max <= (1 + eps) / eps else 1 / q[m]
-        poly = UnivariatePolynomial(m, nodes, tuple(scale * s for s in signs))
+        poly = UnivariatePolynomial(m, nodes, tuple(scale * s for s in alternating.values))
         values = [scale * v for v in q]
     for k in range(m):
         if abs(values[k]) > eps:
@@ -710,10 +712,7 @@ def bpm_degree_bound(n: int, eps) -> DegreeBoundReport:
         raise SizeLimitError("n", n, BPM_N_MAX)
     ep = epsilon_prime(n, eps)
     m = n * n
-    in_regime = m < 2 or _log2_fraction(ep) >= -m * math.log2(m)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        degree, _ = _min_feasible_degree(m, and_feasibility_target(ep))
+    degree, _ = _min_feasible_degree(m, and_feasibility_target(ep))
     threshold = _ceil_n_to_3_2(n)
     return DegreeBoundReport(
         n=n,
@@ -723,24 +722,12 @@ def bpm_degree_bound(n: int, eps) -> DegreeBoundReport:
         threshold=threshold,
         overall_bound=max(threshold, degree),
         certified=True,
-        eps_in_regime=in_regime,
+        eps_in_regime=_in_regime(m, ep),
     )
 
 
 # ---------------------------------------------------------------------------
 # End-to-end approximant at tiny n
-
-
-@dataclass(frozen=True)
-class ApproximantReport:
-    n: int
-    epsilon: Fraction
-    epsilon_prime: Fraction
-    degree: int
-    max_error: Fraction
-    dual_max_error: Fraction
-    exact_term_count: int
-    approximated_term_count: int
 
 
 class BpmStarApproximant:
@@ -772,12 +759,10 @@ class BpmStarApproximant:
                 sizes.add(size)
         self.witnesses: dict[int, UnivariatePolynomial] = {}
         self.value_tables: dict[int, list[Fraction]] = {}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for size in sorted(sizes):
-                w = build_and_approximant(size, self.epsilon_prime)
-                self.witnesses[size] = w
-                self.value_tables[size] = w.integer_values()
+        for size in sorted(sizes):
+            w = build_and_approximant(size, self.epsilon_prime)
+            self.witnesses[size] = w
+            self.value_tables[size] = w.integer_values()
         exact_deg = max((m.bit_count() for m in self.exact_terms), default=0)
         approx_deg = max((w.degree for w in self.witnesses.values()), default=0)
         self.degree = max(exact_deg, approx_deg)
@@ -812,18 +797,6 @@ class BpmStarApproximant:
     def dual_max_error(self) -> Fraction:
         return self._max_error(
             lambda x: abs(self.dual_evaluate(x) - (1 if has_perfect_matching(x) else 0))
-        )
-
-    def report(self) -> ApproximantReport:
-        return ApproximantReport(
-            n=self.n,
-            epsilon=self.epsilon,
-            epsilon_prime=self.epsilon_prime,
-            degree=self.degree,
-            max_error=self.max_error,
-            dual_max_error=self.dual_max_error(),
-            exact_term_count=len(self.exact_terms),
-            approximated_term_count=len(self.approx_terms),
         )
 
 

@@ -172,33 +172,30 @@ def has_perfect_matching(g: BipartiteGraph) -> bool:
     return _match_rows(g.n, g.rows) is not None
 
 
+def _transitive_closure(reach: list[int]) -> list[int]:
+    """Warshall's transitive closure of a relation given as one successor
+    mask per row, in place, one row mask at a time; returns reach."""
+    for k in range(len(reach)):
+        bit, via = 1 << k, reach[k]
+        for i in range(len(reach)):
+            if reach[i] & bit:
+                reach[i] |= via
+    return reach
+
+
 def _components(g: BipartiteGraph) -> list[tuple[int, int]]:
-    """(left mask, right mask) of each connected component with a left vertex."""
-    cols = g.transpose().rows
-    seen_left = 0
-    comps = []
-    for start in range(g.n):
-        if seen_left >> start & 1:
-            continue
-        left = frontier = 1 << start
-        right = 0
-        while frontier:
-            reach_right = 0
-            while frontier:
-                i = (frontier & -frontier).bit_length() - 1
-                frontier &= frontier - 1
-                reach_right |= g.rows[i]
-            new_right = reach_right & ~right
-            right |= new_right
-            reach_left = 0
-            while new_right:
-                j = (new_right & -new_right).bit_length() - 1
-                new_right &= new_right - 1
-                reach_left |= cols[j]
-            frontier = reach_left & ~left
-            left |= frontier
-        seen_left |= left
-        comps.append((left, right))
+    """(left mask, right mask) of each connected component with a left
+    vertex, in order of its first row: rows join when they share a column."""
+    rows = g.rows
+    reach = _transitive_closure(
+        [sum(1 << r for r, other in enumerate(rows) if other & row) | 1 << i
+         for i, row in enumerate(rows)]
+    )
+    comps, seen = [], 0
+    for left in reach:
+        if not left & seen:
+            seen |= left
+            comps.append((left, _neighbourhood(g, left)))
     return comps
 
 
@@ -265,13 +262,7 @@ def _matching_classes(
             row &= row - 1
             acc |= 1 << match_of_col[j]
         reach.append(acc)
-    # Warshall's transitive closure, one row mask at a time.
-    for k in range(n):
-        bit, via = 1 << k, reach[k]
-        for i in range(n):
-            if reach[i] & bit:
-                reach[i] |= via
-    classes = set(reach)
+    classes = set(_transitive_closure(reach))
     return match_of_col, (classes if sum(c.bit_count() for c in classes) == n else None)
 
 

@@ -83,15 +83,21 @@ class DualPolynomial:
         return f'{{"n":{self.n},"terms":[{terms}]}}'
 
     @staticmethod
-    def _edge_bit(i: int, j: int, n: int) -> int:
+    def _add_edge(mask: int, i: int, j: int, n: int) -> int:
+        """mask with the 1-based edge (i, j) added; a repeated or
+        out-of-range edge raises ValueError."""
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"edge ({i},{j}) out of range for n={n}")
-        return 1 << ((i - 1) * n + (j - 1))
+        bit = 1 << ((i - 1) * n + (j - 1))
+        if mask & bit:
+            raise ValueError(f"repeated edge ({i},{j})")
+        return mask | bit
 
     @classmethod
     def from_tsv(cls, text: str, n: int) -> "DualPolynomial":
-        """Parse a `to_tsv` dump; a malformed line, or one that repeats an
-        earlier line's term, raises ValueError naming its 1-based number."""
+        """Parse a `to_tsv` dump; a malformed line, one that repeats an
+        edge, or one that repeats an earlier line's term, raises ValueError
+        naming its 1-based number."""
         terms: dict[int, int] = {}
         for number, line in enumerate(text.splitlines(), 1):
             line = line.strip()
@@ -104,7 +110,7 @@ class DualPolynomial:
                 if edge_str != "-":
                     for chunk in edge_str.split("),("):
                         i_str, _, j_str = chunk.strip("()").partition(",")
-                        mask |= cls._edge_bit(int(i_str), int(j_str), n)
+                        mask = cls._add_edge(mask, int(i_str), int(j_str), n)
             except ValueError as exc:
                 raise ValueError(f"line {number}: {exc}") from None
             if mask in terms:
@@ -114,8 +120,8 @@ class DualPolynomial:
 
     @classmethod
     def from_json(cls, text: str) -> "DualPolynomial":
-        """Parse a `to_json` dump; any other shape, or a repeated term,
-        raises ValueError."""
+        """Parse a `to_json` dump; any other shape, a repeated edge within a
+        term, or a repeated term raises ValueError."""
         data = json.loads(text)
         if not (isinstance(data, dict) and _is_int(data.get("n")) and 1 <= data["n"] <= N_MAX
                 and isinstance(data.get("terms"), list)):
@@ -130,7 +136,10 @@ class DualPolynomial:
             for e in t["edges"]:
                 if not (isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))):
                     raise ValueError(f"expected an edge [i, j] of integers, got {e!r}")
-                mask |= cls._edge_bit(e[0], e[1], n)
+                try:
+                    mask = cls._add_edge(mask, e[0], e[1], n)
+                except ValueError as exc:
+                    raise ValueError(f"term with edges {t['edges']}: {exc}") from None
             c = int(t["coeff"])
             if mask in terms:
                 raise ValueError(f"duplicate term with edges {t['edges']}")

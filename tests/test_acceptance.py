@@ -8,7 +8,6 @@ C) were computed once with this package's oracles and pinned.
 
 import math
 import time
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -232,26 +231,24 @@ def test_c10_end_to_end_approximant():
         if approx.degree != min(bound, n * n):
             _report(10, False, f"n={n}: degree {approx.degree} != reported bound {bound}")
     ratios = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for n in sorted(EXPECTED_TABLE) + [64]:
-            report = bpm_degree_bound(n, THIRD)
-            if n in EXPECTED_TABLE:
-                if report.overall_bound != EXPECTED_TABLE[n] or not report.certified:
-                    _report(
-                        10,
-                        False,
-                        f"n={n}: bound {report.overall_bound} (certified="
-                        f"{report.certified}) != frozen {EXPECTED_TABLE[n]}",
-                    )
-            elif report.overall_bound != N64_DEGREE or not report.certified:
+    for n in sorted(EXPECTED_TABLE) + [64]:
+        report = bpm_degree_bound(n, THIRD)
+        if n in EXPECTED_TABLE:
+            if report.overall_bound != EXPECTED_TABLE[n] or not report.certified:
                 _report(
                     10,
                     False,
-                    f"n=64: bound {report.overall_bound} (certified="
-                    f"{report.certified}) != frozen {N64_DEGREE}",
+                    f"n={n}: bound {report.overall_bound} (certified="
+                    f"{report.certified}) != frozen {EXPECTED_TABLE[n]}",
                 )
-            ratios[n] = report.overall_bound / (n**1.5 * math.sqrt(math.log2(n)))
+        elif report.overall_bound != N64_DEGREE or not report.certified:
+            _report(
+                10,
+                False,
+                f"n=64: bound {report.overall_bound} (certified="
+                f"{report.certified}) != frozen {N64_DEGREE}",
+            )
+        ratios[n] = report.overall_bound / (n**1.5 * math.sqrt(math.log2(n)))
     if any(r > RATIO_CONSTANT_C for r in ratios.values()):
         _report(10, False, f"ratio exceeds C={RATIO_CONSTANT_C}: {ratios}")
     pretty = {n: round(r, 3) for n, r in ratios.items()}

@@ -21,8 +21,6 @@ from bpmdual.approxdeg import (
     _enclose,
     _float_denominators,
     _min_feasible_degree,
-    _q_exact,
-    _value_exact,
     and_feasibility_target,
     assemble_bpm_approximant,
     bpm_degree_bound,
@@ -37,11 +35,30 @@ from bpmdual.oracle import bpm_star_value
 THIRD = Fraction(1, 3)
 
 
+def barycentric(nodes, values, t):
+    """Reference evaluator, independent of the package's: barycentric
+    weights v_i / prod_{j != i} (x_i - x_j), each a plain product."""
+    t = Fraction(t)
+    if t in nodes:
+        return Fraction(values[nodes.index(t)])
+    weights = [
+        Fraction(v) / math.prod([xi - xj for xj in nodes if xj != xi])
+        for xi, v in zip(nodes, values)
+    ]
+    omega = math.prod([t - x for x in nodes])
+    return omega * sum(w / (t - x) for x, w in zip(nodes, weights))
+
+
+def alternating_data(nodes):
+    """+-1 data on sorted nodes, +1 at the largest."""
+    d = len(nodes) - 1
+    return [(-1) ** (d - i) for i in range(d + 1)]
+
+
 def brute_nu(m, d):
     """Independent oracle: enumerate all node subsets."""
     return min(
-        _value_exact(m, xs, _abs_denominators(xs))
-        for xs in combinations(range(m), d + 1)
+        barycentric(xs, alternating_data(xs), m) for xs in combinations(range(m), d + 1)
     )
 
 
@@ -134,10 +151,9 @@ class TestMinAndApproxDegree:
     def test_exchange_optimum_matches_enumeration(self):
         for m in range(2, 10):
             for d in range(1, m):
-                nodes = exchange_to_optimum(m, d).xs
-                assert len(nodes) == d + 1
-                nu = _value_exact(m, nodes, _abs_denominators(nodes))
-                assert nu == brute_nu(m, d), (m, d)
+                engine = exchange_to_optimum(m, d)
+                assert len(engine.xs) == d + 1
+                assert engine.interpolant.evaluate(m) == brute_nu(m, d), (m, d)
 
     @pytest.mark.parametrize("offset", [-7, -3, -1, 2, 6])
     @pytest.mark.parametrize("eps", [THIRD, Fraction(1, 1000)])
@@ -202,6 +218,48 @@ class TestExchangeBookkeeping:
             assert _abs_denominators(xs) == naive
 
 
+class TestExactEvaluator:
+    """UnivariatePolynomial.evaluate against the barycentric reference."""
+
+    @staticmethod
+    def check(poly):
+        m = poly.m
+        for t in [*range(m + 1), Fraction(1, 3), Fraction(2 * m + 1, 2)]:
+            assert poly.evaluate(t) == barycentric(poly.nodes, poly.values, t), (poly, t)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_rational_data(self, seed):
+        rng = random.Random(seed)
+        m = rng.randrange(1, 40)
+        nodes = tuple(sorted(rng.sample(range(m + 1), rng.randrange(1, m + 2))))
+        values = tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in nodes)
+        self.check(UnivariatePolynomial(m, nodes, values))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_alternating_data(self, seed):
+        rng = random.Random(100 + seed)
+        m = rng.randrange(2, 60)
+        nodes = sorted(rng.sample(range(m), rng.randrange(1, m)))
+        poly = UnivariatePolynomial.alternating(m, nodes)
+        assert list(poly.values) == alternating_data(nodes)
+        self.check(poly)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 17])
+    def test_degree_m_and_interpolant(self, m):
+        # values 0, ..., 0, 1 on every grid point: the degree-m witness
+        values = (Fraction(0),) * m + (Fraction(1),)
+        self.check(UnivariatePolynomial(m, tuple(range(m + 1)), values))
+
+    def test_unsorted_nodes_rejected(self):
+        # the sign rule of the evaluator holds for ascending nodes only
+        with pytest.raises(ValueError):
+            UnivariatePolynomial(4, (0, 3, 1), (Fraction(1),) * 3)
+
+    def test_witness_values_match_reference(self):
+        for m, eps in [(7, THIRD), (40, Fraction(1, 10)), (64, Fraction(1, 1000))]:
+            self.check(build_and_approximant(m, eps))
+
+
 def scaled(x, e):
     return Fraction(float(x)) * Fraction(2) ** int(e)
 
@@ -237,8 +295,9 @@ class TestEnclosure:
         if m > 64:
             ys = rng.sample(ys, 40)
         abs_d = _abs_denominators(xs)
+        q = UnivariatePolynomial.alternating(m, xs)
         for y, (lo, hi, _) in zip(ys + [m], self.enclosures(xs, ys + [m])):
-            exact = _value_exact(m, xs, abs_d) if y == m else _q_exact(xs, abs_d, 1, y)
+            exact = q.evaluate(y)
             assert lo <= exact <= hi, y
             # the bracket the m = 4096 test relies on holds the exact value
             b_lo, b_hi = exact_bracket(xs, abs_d, y, 64)
@@ -263,7 +322,7 @@ class TestEnclosure:
         assert lo < -1 < hi or lo < 1 < hi
         scan = engine.find_violations(Fraction(2), np.array([2048]))
         assert scan.violations == [] and scan.log_max_q == 0.0
-        assert abs(_q_exact(engine.xs, engine.abs_d, 1, 2048)) == 1
+        assert abs(engine.interpolant.evaluate(2048)) == 1
 
 
 class TestBuildAndApproximant:

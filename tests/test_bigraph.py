@@ -8,6 +8,7 @@ import pytest
 from bpmdual._errors import SizeLimitError
 from bpmdual.bigraph import (
     BipartiteGraph,
+    _components,
     _has_pm_with_forced_edge,
     _matching_classes,
     all_graphs,
@@ -153,6 +154,41 @@ class TestComponents:
 
     def test_perfect_matching_two_components(self):
         assert connected_components(PM2) == 2
+
+    @staticmethod
+    def bfs_components(graph):
+        """(left mask, right mask) of each component with a left vertex, by
+        breadth-first search over the 2n vertices from each unseen row."""
+        n = graph.n
+        edges = graph.edges()
+        adjacent = {v: set() for v in [("a", i) for i in range(n)] + [("b", j) for j in range(n)]}
+        for i, j in edges:
+            adjacent[("a", i - 1)].add(("b", j - 1))
+            adjacent[("b", j - 1)].add(("a", i - 1))
+        seen, comps = set(), []
+        for start in range(n):
+            if ("a", start) in seen:
+                continue
+            queue, component = [("a", start)], {("a", start)}
+            while queue:
+                for w in adjacent[queue.pop(0)] - component:
+                    component.add(w)
+                    queue.append(w)
+            seen |= component
+            left = sum(1 << k for side, k in component if side == "a")
+            right = sum(1 << k for side, k in component if side == "b")
+            comps.append((left, right))
+        return comps
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_bfs_exhaustive(self, n):
+        for graph in all_graphs(n):
+            assert _components(graph) == self.bfs_components(graph), graph
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_matches_bfs_seeded(self, n):
+        for graph in seeded_graphs(n, 200, seed=n):
+            assert _components(graph) == self.bfs_components(graph), graph
 
 
 class TestCyclomatic:

@@ -246,8 +246,8 @@ class TestEval:
         assert run(["eval", "--graph", graph, "--poly", str(poly_file)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: DimensionMismatchError: ")
-        assert f"polynomial has n={dump_n}" in captured.err
+        graph_n = int(graph_text.split()[0])
+        assert captured.err == f"error: polynomial has n={dump_n}, input has n={graph_n}\n"
 
     @pytest.mark.parametrize(
         "line, bad",
@@ -289,6 +289,26 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: duplicate term with edges [[1, 1]]\n"
+
+    @pytest.mark.parametrize("graph_text", ["2\n11\n11\n", "1\n1\n"])
+    def test_repeated_tsv_edge_names_the_line(self, tmp_path, write_graph, capsys, graph_text):
+        # the repeated edge makes the dump look like n = 2 to tsv_side_size
+        poly_file = tmp_path / "p.tsv"
+        poly_file.write_text("1\t(1,1),(1,1)\n")
+        graph = write_graph(graph_text)
+        assert run(["eval", "--graph", graph, "--poly", str(poly_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 1: repeated edge (1,1)\n"
+
+    def test_repeated_json_edge_names_the_term(self, tmp_path, write_graph, capsys):
+        poly_file = tmp_path / "p.json"
+        poly_file.write_text('{"n":1,"terms":[{"coeff":"1","edges":[[1,1],[1,1]]}]}')
+        graph = write_graph("1\n1\n")
+        assert run(["eval", "--graph", graph, "--poly", str(poly_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: term with edges [[1, 1], [1, 1]]: repeated edge (1,1)\n"
 
     def test_round_trip_json(self, tmp_path, path_graph, capsys):
         poly_file = tmp_path / "p.json"

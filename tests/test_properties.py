@@ -1,6 +1,9 @@
-"""Property tests: text formats round-trip, and malformed dumps fail cleanly."""
+"""Property tests: text formats round-trip, malformed dumps fail cleanly,
+and the CLI exits 0 or 2 without a traceback on any argument vector."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -9,6 +12,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bpmdual.bigraph import BipartiteGraph, parse_graph  # noqa: E402
+from bpmdual.cli import run  # noqa: E402
 from bpmdual.ordered import RepresentingSequence  # noqa: E402
 from bpmdual.polyspace import DualPolynomial  # noqa: E402
 
@@ -85,3 +89,63 @@ def test_from_json_accepts_or_raises_value_error(value):
     except ValueError:
         return
     assert DualPolynomial.from_json(p.to_json()) == p
+
+
+# The --n cap of each subcommand that takes --n (apxdeg --assemble: 3).
+N_CAPS = {"poly": 5, "verify": 4, "count": 40, "sens": 16, "apxdeg": 64}
+
+
+@pytest.fixture(scope="module")
+def cli_paths(tmp_path_factory):
+    """A valid graph and dump, a missing file and a directory, by role."""
+    root = tmp_path_factory.mktemp("cli")
+    (root / "graph.txt").write_text("2\n11\n01\n")
+    assert run(["poly", "--n", "2", "--out", str(root / "p.tsv")]) == 0
+    bad = [str(root / "missing.txt"), str(root)]
+    return {
+        "graph": [str(root / "graph.txt"), *bad],
+        "poly": [str(root / "p.tsv"), *bad],
+        "out": [str(root / "out.tsv"), str(root / "missing" / "out.tsv"), str(root)],
+    }
+
+
+@st.composite
+def cli_argvs(draw, paths):
+    """argv over the seven subcommands: sizes of 0, negative, just past each
+    cap or small enough to finish at once; eps in or out of (0, 1/3] or not
+    a rational; existing, missing or directory paths."""
+    command = draw(st.sampled_from([*N_CAPS, "coeff", "eval"]))
+    if command == "coeff":
+        argv = [command, "--graph", draw(st.sampled_from(paths["graph"]))]
+        method = ["formula", "mobius", "chisum", "elemsum", "permitted"]
+        return argv + ["--method", draw(st.sampled_from(method))]
+    if command == "eval":
+        return [command, "--graph", draw(st.sampled_from(paths["graph"])),
+                "--poly", draw(st.sampled_from(paths["poly"]))]
+    argv, cap = [command], N_CAPS[command]
+    if command == "apxdeg":
+        argv += ["--eps", draw(st.sampled_from(["1/3", "1/10", "1/2", "2/0", "0", "-1/3", "0.3"]))]
+        if draw(st.booleans()):
+            argv, cap = argv + ["--assemble"], 3
+    elif command == "poly" and draw(st.booleans()):
+        argv += ["--out", draw(st.sampled_from(paths["out"]))]
+    elif command == "verify" and draw(st.booleans()):
+        argv, cap = argv + ["--huge"], 5
+    return argv + ["--n", str(draw(st.sampled_from([0, -1, -65, 1, 2, cap + 1])))]
+
+
+@relaxed
+@given(st.data())
+def test_cli_exits_0_or_2_without_traceback(cli_paths, data):
+    argv = data.draw(cli_argvs(cli_paths))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith(("error: ", "usage: ")), argv
