@@ -1,19 +1,23 @@
-"""Time bpm_degree_bound(n, 1/3) in fresh interpreters and record the result.
+"""A/B timing of bpm_degree_bound(n, 1/3) between two checkouts.
 
-    python3 scripts/time_degree_bound.py --n 32 64 --repeats 3 --label change
-    python3 scripts/time_degree_bound.py --src ../parent/src --label parent
+    python3 scripts/time_degree_bound.py --parent ../parent --change . --n 32 64 --repeats 5
 
-Each repeat starts a new interpreter that imports bpmdual from --src and
-times the one call, imports excluded; repeats cycle over the sizes so slow
-drift of a shared machine spreads over all of them.  The entry written for
---label replaces any entry with the same label in --out, so one file holds a
-commit and its parent measured on the same machine.  The run stops with an
-error if repeats of one size disagree on the degree or the certificate.
+Each timing starts a new interpreter that imports bpmdual from the
+checkout's src directory and times the one call, imports excluded.  Each
+repeat times every size on both sides, and the side that goes first
+alternates from repeat to repeat, so slow drift of a shared machine falls
+on both.
+The record written to --out (default BENCH_degree_bound.json at the root
+of this repository) holds every time, each side's median and quartiles per
+size, how many repeats the change won, both commits with a sha256 of their
+src/bpmdual/*.py, and the environment.  The run stops with an error if
+repeats of one side and size disagree on the degree or the certificate.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -23,6 +27,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
 
 CHILD = """
 import json, sys, time
@@ -38,74 +43,100 @@ print(json.dumps({"seconds": seconds, "degree": report.and_degree,
 """
 
 
-def _git(src: Path, *args: str) -> str | None:
+def _git(root: Path, *args: str) -> str | None:
     try:
-        out = subprocess.run(["git", "-C", str(src), *args], capture_output=True,
+        out = subprocess.run(["git", "-C", str(root), *args], capture_output=True,
                              text=True, check=True)
     except (OSError, subprocess.CalledProcessError):
         return None
     return out.stdout.strip()
 
 
-def _time_once(src: Path, n: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src))
+def source_sha256(root: Path) -> str:
+    """sha256 over the names and bytes of root/src/bpmdual/*.py, sorted by name."""
+    digest = hashlib.sha256()
+    for path in sorted((root / "src" / "bpmdual").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def _time_once(root: Path, n: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     out = subprocess.run([sys.executable, "-c", CHILD, str(n)], env=env,
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def measure(src: Path, sizes: list[int], repeats: int) -> tuple[list[dict], str]:
-    samples: dict[int, list[dict]] = {n: [] for n in sizes}
-    for _ in range(repeats):
+def _quartiles(values: list[float]) -> dict:
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"median_s": round(median, 3), "q1_s": round(q1, 3), "q3_s": round(q3, 3)}
+
+
+def measure(roots: dict[str, Path], sizes: list[int], repeats: int) -> tuple[list[dict], str]:
+    samples = {(side, n): [] for side in SIDES for n in sizes}
+    for k in range(repeats):
+        order = SIDES if k % 2 == 0 else SIDES[::-1]
         for n in sizes:
-            samples[n].append(_time_once(src, n))
-            print(f"n={n}: {samples[n][-1]['seconds']:.2f} s", file=sys.stderr)
+            for side in order:
+                samples[side, n].append(_time_once(roots[side], n))
+            print(f"repeat {k}, n={n}: " + ", ".join(
+                f"{side} {samples[side, n][-1]['seconds']:.2f} s" for side in SIDES),
+                file=sys.stderr)
     results = []
-    for n, runs in samples.items():
-        outcomes = {(r["degree"], r["certified"]) for r in runs}
-        if len(outcomes) != 1:
-            raise SystemExit(f"error: n={n} repeats disagree: {sorted(outcomes)}")
-        (degree, certified), = outcomes
-        seconds = [r["seconds"] for r in runs]
-        q1, median, q3 = (statistics.quantiles(seconds, n=4, method="inclusive")
-                          if len(seconds) > 1 else seconds * 3)
-        results.append({"n": n, "eps": "1/3", "degree": degree, "certified": certified,
-                        "repeats": len(seconds), "seconds": [round(s, 3) for s in seconds],
-                        "median_s": round(median, 3), "q1_s": round(q1, 3),
-                        "q3_s": round(q3, 3)})
-    return results, samples[sizes[0]][0]["numpy"]
+    for n in sizes:
+        result = {"n": n, "eps": "1/3", "repeats": repeats}
+        for side in SIDES:
+            runs = samples[side, n]
+            outcomes = {(r["degree"], r["certified"]) for r in runs}
+            if len(outcomes) != 1:
+                raise SystemExit(f"error: {side} n={n} repeats disagree: {sorted(outcomes)}")
+            (degree, certified), = outcomes
+            seconds = [r["seconds"] for r in runs]
+            result[side] = {"degree": degree, "certified": certified,
+                            "seconds": [round(s, 3) for s in seconds], **_quartiles(seconds)}
+        result["change_wins"] = sum(
+            1 for a, b in zip(samples["parent", n], samples["change", n])
+            if b["seconds"] < a["seconds"])
+        medians = [statistics.median(r["seconds"] for r in samples[side, n]) for side in SIDES]
+        result["median_change"] = round(medians[1] / medians[0] - 1, 3) if medians[0] else None
+        results.append(result)
+    return results, samples["change", sizes[0]][0]["numpy"]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="root of the parent checkout")
+    parser.add_argument("--change", type=Path, required=True, help="root of the changed checkout")
     parser.add_argument("--n", type=int, nargs="+", default=[32, 64])
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--src", type=Path, default=ROOT / "src",
-                        help="directory that holds the bpmdual package")
-    parser.add_argument("--label", required=True, help="entry name, e.g. change or parent")
+    parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_degree_bound.json")
     args = parser.parse_args(argv)
     if args.repeats < 1 or min(args.n) < 1:
         parser.error("--repeats and every --n must be at least 1")
+    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, root in roots.items():
+        if not (root / "src" / "bpmdual" / "approxdeg.py").is_file():
+            parser.error(f"--{side} {root} has no src/bpmdual/approxdeg.py")
 
-    src = args.src.resolve()
-    results, numpy_version = measure(src, args.n, args.repeats)
-    entry = {
-        "label": args.label,
-        "commit": _git(src, "rev-parse", "HEAD"),
-        "src_modified": bool(_git(src, "status", "--porcelain", "--", ".")),
-        "python": platform.python_version(),
-        "numpy": numpy_version,
-        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()}",
+    results, numpy_version = measure(roots, args.n, args.repeats)
+    record = {
+        "what": "bpm_degree_bound(n, 1/3) call time, one fresh interpreter per timing, "
+                f"parent and change alternating in {args.repeats} repeats",
+        "commits": {side: {"commit": _git(root, "rev-parse", "HEAD"),
+                           "modified": bool(_git(root, "status", "--porcelain", "--", "src")),
+                           "src_sha256": source_sha256(root)}
+                    for side, root in roots.items()},
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": numpy_version,
+            "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()}",
+        },
         "results": results,
     }
-    record = {"what": "bpm_degree_bound(n, 1/3) call time, one fresh interpreter per repeat",
-              "entries": []}
-    if args.out.exists():
-        record = json.loads(args.out.read_text(encoding="utf-8"))
-    record["entries"] = [e for e in record["entries"] if e["label"] != args.label] + [entry]
     args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    print(json.dumps(entry))
+    print(json.dumps({r["n"]: {"change_wins": r["change_wins"],
+                               "median_change": r["median_change"]} for r in results}))
     return 0
 
 

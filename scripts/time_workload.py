@@ -10,12 +10,14 @@ the changed checkout's BENCHMARK.json (--tiny: one pass of the smallest
 inputs, for the tests). Only the last line of run.py's stdout is read: the JSON object with its end-to-end metrics. The record written to
 --out (default BENCH_<workload>.json at the root of this repository) holds
 every pair's metrics, each side's median and quartiles, how many pairs the
-change won on each metric, both commits and the environment.
+change won on each metric, both commits with a sha256 of their
+src/bpmdual/*.py, and the environment.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -36,6 +38,14 @@ def _git(root: Path, *args: str) -> str | None:
     except (OSError, subprocess.CalledProcessError):
         return None
     return out.stdout.strip()
+
+
+def source_sha256(root: Path) -> str:
+    """sha256 over the names and bytes of root/src/bpmdual/*.py, sorted by name."""
+    digest = hashlib.sha256()
+    for path in sorted((root / "src" / "bpmdual").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
 
 
 def _spec(root: Path) -> dict:
@@ -125,7 +135,8 @@ def main(argv=None) -> int:
         "workload": args.workload,
         "commits": {side: {"commit": _git(root, "rev-parse", "HEAD"),
                            "modified": bool(_git(root, "status", "--porcelain", "--",
-                                                 "src", "perfbench"))}
+                                                 "src", "perfbench")),
+                           "src_sha256": source_sha256(root)}
                     for side, root in roots.items()},
         "environment": {
             "python": platform.python_version(),

@@ -138,7 +138,7 @@ def _log2_fraction(fr: Fraction) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Node sets: exact values and the Chebyshev seed
+# Node sets: exact values and the equilibrium seed
 
 
 def _product(factors: list[int]) -> int:
@@ -157,15 +157,33 @@ def _abs_denominators(xs: Sequence[int]) -> list[int]:
     return [abs(_product([xi - xj for xj in xs if xj != xi])) for xi in xs]
 
 
-def _chebyshev_int_points(right_end: int, count: int) -> list[int]:
-    """count strictly increasing integers in [0, right_end], Chebyshev-spread."""
-    if count == 1:
-        return [right_end]
-    raw = [
-        0.5 * (1 - math.cos(math.pi * i / (count - 1))) * right_end
-        for i in range(count)
-    ]
-    xs = [round(v) for v in raw]
+def _equilibrium_mass(t: np.ndarray, c: float) -> np.ndarray:
+    """Mass on [0, t] (t in [0, 1]) of the constrained equilibrium density
+    on [-1, 1] for count = c m nodes on an m-point grid: 1/(2c) where the
+    nodes fill the grid, |x| >= r = sqrt(1 - c^2), and (1/(pi c))
+    arctan(c / sqrt(r^2 - x^2)) between (Rakhmanov 1996; Dragnev & Saff
+    1997).  Closed form; half the mass lies on [0, 1]."""
+    r = math.sqrt(1 - c * c)
+    mass = (c - 1 + t) / (2 * c)
+    inner = t < r
+    t = t[inner]
+    s = np.sqrt(r * r - t * t)
+    mass[inner] = (
+        t * np.arctan2(c, s) + c * np.arcsin(t / r) - np.arctan2(c * t, s)
+    ) / (math.pi * c)
+    return mass
+
+
+def _equilibrium_int_points(right_end: int, count: int) -> list[int]:
+    """count >= 2 strictly increasing integers in [0, right_end] at the
+    quantiles i/(count - 1) of the constrained equilibrium density, its
+    [-1, 1] mapped onto the grid."""
+    m = right_end + 1
+    x = np.linspace(-1.0, 1.0, m)
+    half = _equilibrium_mass(np.abs(x), min(count / m, 1.0))
+    cdf = 0.5 + np.where(x < 0, -half, half)
+    raw = np.interp(np.linspace(0.0, 1.0, count), cdf, np.arange(m, dtype=np.float64))
+    xs = [round(v) for v in raw.tolist()]
     for i in range(1, count):
         xs[i] = max(xs[i], xs[i - 1] + 1)
     xs[-1] = min(xs[-1], right_end)
@@ -468,31 +486,14 @@ class _Exchange:
         return progressed
 
 
-def _best_deletion(m: int, xs: list[int]) -> list[int]:
-    """Node set minus the node whose removal raises V the least."""
-    out = sorted(xs)
-    xf = np.array(out, dtype=np.float64)
-    log_m = np.log(m - xf)
-    diff = np.abs(xf[:, None] - xf[None, :])
-    np.fill_diagonal(diff, 1.0)
-    log_diff = np.log(diff)
-    terms = log_m.sum() - log_m - log_diff.sum(axis=1)
-    # removing node i shifts every other term j by log|x_j - x_i| - log(m - x_i)
-    shifted = terms[:, None] + log_diff - log_m[None, :]
-    np.fill_diagonal(shifted, -np.inf)
-    peak = shifted.max(axis=0)
-    logv = peak + np.log(np.exp(shifted - peak[None, :]).sum(axis=0))
-    out.pop(int(np.argmin(logv)))
-    return out
-
-
 class _Solver:
     """Least feasible degree on one grid m for one target ratio.
 
     A probe runs the exchange on one degree d only until a full scan
-    proves its side of the target; no probe needs the optimum.  The search
-    starts where one-scan estimates on Chebyshev points cross the target
-    and then walks one degree at a time on proven verdicts alone.
+    proves its side of the target; no probe needs the optimum.  Every
+    estimate and every probe starts from the equilibrium seed of its
+    degree.  The search starts where the seeds' V(X) cross the target and
+    then walks one degree at a time on proven verdicts alone.
     """
 
     def __init__(self, m: int, target: Fraction):
@@ -500,8 +501,8 @@ class _Solver:
         self.target = target
         self.log_target = _log2_fraction(target) * math.log(2.0)
 
-    def chebyshev(self, d: int) -> _Exchange:
-        return _Exchange(self.m, _chebyshev_int_points(self.m - 1, d + 1))
+    def seed(self, d: int) -> _Exchange:
+        return _Exchange(self.m, _equilibrium_int_points(self.m - 1, d + 1))
 
     def probe(self, engine: _Exchange) -> bool:
         """Exchange on the engine's node set until a full scan proves
@@ -528,38 +529,32 @@ class _Solver:
 
     def seed_estimate(self, d: int) -> tuple[bool, float]:
         """Whether ln nu*(d) - ln target looks nonnegative, and its float
-        estimate from one scan of the Chebyshev seed: the midpoint of ln V
-        and ln V/M, which tracks the optimum within a few units where V and
-        V/M lie hundreds apart."""
-        scan = self.chebyshev(d).find_violations(self.target)
-        g = scan.log_v - scan.log_max_q / 2 - self.log_target
+        estimate ln V(X) - ln target on the seed, no scan needed: V(X)
+        bounds nu*(d) from above, and the seed lies near the optimum."""
+        g = self.seed(d).logv() - self.log_target
         return g >= 0, g
 
     def least_degree(self) -> tuple[int, tuple[int, ...]]:
         """Probe the degree where the seed estimates cross the target, then
         walk down while probes stay feasible or up until one is; returns
-        the degree and the node set that proved it feasible.
-
-        A walk-down probe starts from the Chebyshev points or from the last
-        feasible nodes minus their best deletion, whichever has the smaller
-        V(X); a walk-up probe starts from the Chebyshev points.
+        the degree and the node set that proved it feasible.  Every probe
+        starts from the seed of its degree.
         """
         # ln nu*(0) = 0 and ln nu*(m - 1) = ln(2^m - 1): degree 0 is
         # infeasible and degree m - 1 feasible, so both walks end in range
         ends = (0, -self.log_target, self.m - 1, self.m * math.log(2.0) - self.log_target)
         d = _least_crossing(self.seed_estimate, *ends)
-        engine = self.chebyshev(d)
+        engine = self.seed(d)
         if self.probe(engine):
             while d > 1:
-                shrunk = _Exchange(self.m, _best_deletion(self.m, engine.xs))
-                below = min(self.chebyshev(d - 1), shrunk, key=_Exchange.logv)
+                below = self.seed(d - 1)
                 if not self.probe(below):
                     break
                 d, engine = d - 1, below
         else:
             while True:
                 d += 1
-                engine = self.chebyshev(d)
+                engine = self.seed(d)
                 if self.probe(engine):
                     break
         return d, tuple(engine.xs)

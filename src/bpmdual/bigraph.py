@@ -91,17 +91,6 @@ class BipartiteGraph:
         """Test a 1-based edge."""
         return bool(self.rows[i - 1] >> (j - 1) & 1)
 
-    def transpose(self) -> "BipartiteGraph":
-        """Swap the two bipartitions."""
-        cols = [0] * self.n
-        for i, row in enumerate(self.rows):
-            r = row
-            while r:
-                j = (r & -r).bit_length() - 1
-                cols[j] |= 1 << i
-                r &= r - 1
-        return BipartiteGraph(self.n, tuple(cols))
-
     def __str__(self) -> str:
         lines = [str(self.n)]
         for row in self.rows:
@@ -207,11 +196,6 @@ def connected_components(g: BipartiteGraph) -> int:
         seen_right |= right
     # Right vertices never reached are isolated components of their own.
     return len(comps) + g.n - seen_right.bit_count()
-
-
-def cyclomatic_number(g: BipartiteGraph) -> int:
-    """|E| - |V| + #components; zero exactly on forests."""
-    return g.edge_count - 2 * g.n + connected_components(g)
 
 
 def _has_pm_with_forced_edge(g: BipartiteGraph, i: int, j: int) -> bool:

@@ -17,8 +17,9 @@ from bpmdual.approxdeg import (
     UnivariatePolynomial,
     _Exchange,
     _abs_denominators,
-    _chebyshev_int_points,
     _enclose,
+    _equilibrium_int_points,
+    _equilibrium_mass,
     _float_denominators,
     _min_feasible_degree,
     and_feasibility_target,
@@ -60,6 +61,25 @@ def brute_nu(m, d):
     return min(
         barycentric(xs, alternating_data(xs), m) for xs in combinations(range(m), d + 1)
     )
+
+
+def _chebyshev_int_points(right_end: int, count: int) -> list[int]:
+    """count strictly increasing integers in [0, right_end], Chebyshev-spread."""
+    if count == 1:
+        return [right_end]
+    raw = [
+        0.5 * (1 - math.cos(math.pi * i / (count - 1))) * right_end
+        for i in range(count)
+    ]
+    xs = [round(v) for v in raw]
+    for i in range(1, count):
+        xs[i] = max(xs[i], xs[i - 1] + 1)
+    xs[-1] = min(xs[-1], right_end)
+    for i in range(count - 2, -1, -1):
+        xs[i] = min(xs[i], xs[i + 1] - 1)
+    if xs[0] < 0:
+        raise ValueError(f"cannot place {count} points in [0, {right_end}]")
+    return xs
 
 
 def exchange_to_optimum(m, d):
@@ -158,8 +178,8 @@ class TestMinAndApproxDegree:
     @pytest.mark.parametrize("offset", [-7, -3, -1, 2, 6])
     @pytest.mark.parametrize("eps", [THIRD, Fraction(1, 1000)])
     def test_walk_from_either_side(self, monkeypatch, eps, offset):
-        # the seed estimates cross at or just above the answer on every grid
-        # here, so only a start forced below it walks up
+        # the seed estimates cross at the answer or one below it on every
+        # grid here, so each walk takes one step; forced starts walk farther
         ms = [*range(2, 40), 100, 256]
         expected = [min_and_approx_degree(m, eps) for m in ms]
         try:
@@ -176,6 +196,63 @@ class TestMinAndApproxDegree:
     def test_out_of_regime_warns(self):
         with pytest.warns(UserWarning):
             min_and_approx_degree(4, Fraction(1, 10**9))
+
+
+def contiguous_run(xs, start, step):
+    """How many consecutive grid points from `start` in steps of `step` are
+    nodes."""
+    nodes, k = set(xs), 0
+    while start + k * step in nodes:
+        k += 1
+    return k
+
+
+class TestEquilibriumSeed:
+    @staticmethod
+    def check_points(xs, right_end, count):
+        assert len(xs) == count
+        assert all(isinstance(x, int) for x in xs)
+        assert 0 <= xs[0] and xs[-1] <= right_end
+        assert all(a < b for a, b in zip(xs, xs[1:]))
+
+    def test_distinct_points_in_range(self):
+        for m in range(2, 65):
+            for count in range(2, m + 1):
+                self.check_points(_equilibrium_int_points(m - 1, count), m - 1, count)
+        for count in (2, 26, 508, 676):
+            self.check_points(_equilibrium_int_points(675, count), 675, count)
+
+    @pytest.mark.parametrize("m", [2, 3, 17, 64, 676])
+    def test_full_grid(self, m):
+        # c = 1 puts every node in the saturated region, where r = 0
+        assert _equilibrium_int_points(m - 1, m) == list(range(m))
+
+    def test_symmetric(self):
+        for m, counts in [*((m, range(2, m + 1)) for m in range(2, 65)), (676, (26, 508))]:
+            for count in counts:
+                xs = _equilibrium_int_points(m - 1, count)
+                assert all(abs(a + b - (m - 1)) <= 1 for a, b in zip(xs, xs[::-1])), (m, count)
+
+    def test_saturated_ends_at_4096(self):
+        # the node set that proves the n = 64 degree fills [0, 335] and [3760, 4095]
+        xs = _equilibrium_int_points(4095, 2214)
+        assert contiguous_run(xs, 0, 1) >= 300
+        assert contiguous_run(xs, 4095, -1) >= 300
+
+    @pytest.mark.parametrize("c", [0.003, 0.1, 0.54, 0.9, 1.0])
+    def test_mass_matches_trapezoid(self, c):
+        # trapezoid rule over the density: on |x| < r in x = r sin(theta),
+        # which resolves the steep rise near r for small c, then 1/(2c)
+        r = math.sqrt(1 - c * c)
+        ts = np.array([0.0, 0.25 * r, 0.5 * r, 0.9 * r, 0.999 * r, r, (1 + r) / 2, 1.0])
+        for t, mass in zip(ts, _equilibrium_mass(ts, c)):
+            top = math.asin(min(t / r, 1.0)) if r > 0 else 0.0
+            theta = np.linspace(0.0, top, 200_001)
+            w = r * np.cos(theta)  # both sqrt(r^2 - x^2) and dx/dtheta
+            reference = np.trapezoid(np.arctan2(c, w) / (math.pi * c) * w, theta)
+            reference += max(t - r, 0.0) / (2 * c)
+            assert mass == pytest.approx(reference, abs=1e-6), (c, t)
+        assert _equilibrium_mass(np.array([1.0]), c)[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def float_state(engine):

@@ -14,7 +14,6 @@ from bpmdual.bigraph import (
     all_graphs,
     complement,
     connected_components,
-    cyclomatic_number,
     has_perfect_matching,
     hetyei_conditions,
     is_elementary,
@@ -25,6 +24,11 @@ from bpmdual.bigraph import (
 
 def g(n, *edges):
     return BipartiteGraph.from_edges(n, edges)
+
+
+def cyclomatic_number(g: BipartiteGraph) -> int:
+    """|E| - |V| + #components; zero exactly on forests."""
+    return g.edge_count - 2 * g.n + connected_components(g)
 
 
 K22 = BipartiteGraph.complete(2)

@@ -19,6 +19,18 @@ def g(n, *edges):
     return BipartiteGraph.from_edges(n, edges)
 
 
+def transpose(graph: BipartiteGraph) -> BipartiteGraph:
+    """Swap the two bipartitions."""
+    cols = [0] * graph.n
+    for i, row in enumerate(graph.rows):
+        r = row
+        while r:
+            j = (r & -r).bit_length() - 1
+            cols[j] |= 1 << i
+            r &= r - 1
+    return BipartiteGraph(graph.n, tuple(cols))
+
+
 class TestBinomial:
     def test_ordinary(self):
         assert binomial(3, 2) == 3
@@ -84,12 +96,12 @@ class TestDualCoefficient:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_transpose_invariance(self, n):
         for graph in all_graphs(n):
-            assert dual_coefficient(graph) == dual_coefficient(graph.transpose())
+            assert dual_coefficient(graph) == dual_coefficient(transpose(graph))
 
     def test_transpose_invariance_n4(self):
         for mask in range(0, 1 << 16, 11):
             graph = BipartiteGraph.from_mask(4, mask)
-            assert dual_coefficient(graph) == dual_coefficient(graph.transpose())
+            assert dual_coefficient(graph) == dual_coefficient(transpose(graph))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_bipartition_permutation_invariance(self, n):

@@ -72,3 +72,4 @@ def test_tiny_run_of_this_checkout(tmp_path, capsys):
         assert entry["better"] == "lower" and 0 <= entry["change_wins"] <= 1, name
         assert entry["change"]["q1"] <= entry["change"]["median"] <= entry["change"]["q3"]
     assert record["commits"]["parent"] == record["commits"]["change"]
+    assert len(record["commits"]["change"]["src_sha256"]) == 64
