@@ -6,12 +6,12 @@ Each timing starts a new interpreter that imports bpmdual from the
 checkout's src directory and times the one call, imports excluded.  Each
 repeat times every size on both sides, and the side that goes first
 alternates from repeat to repeat, so slow drift of a shared machine falls
-on both.
-The record written to --out (default BENCH_degree_bound.json at the root
-of this repository) holds every time, each side's median and quartiles per
-size, how many repeats the change won, both commits with a sha256 of their
-src/bpmdual/*.py, and the environment.  The run stops with an error if
-repeats of one side and size disagree on the degree or the certificate.
+on both.  The record written to --out (default BENCH_degree_bound.json at
+the root of this repository) holds every time, each side's median and
+quartiles per size, how many repeats the change won, both commits with a
+sha256 of their src/bpmdual/*.py, and the environment.  The run stops with
+an error if repeats of one side and size disagree on the degree or the
+certificate.
 """
 
 from __future__ import annotations

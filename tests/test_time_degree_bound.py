@@ -33,7 +33,7 @@ def test_sides_alternate_repeat_by_repeat(tmp_path, capsys):
         package = tmp_path / side / "src" / "bpmdual"
         package.mkdir(parents=True)
         (package / "__init__.py").write_text("")
-        (package / "approxdeg.py").write_text(FAKE_APPROXDEG)
+        (package / "approxdeg.py").write_text(FAKE_APPROXDEG + f"# {side}\n")
     out = tmp_path / "bench.json"
     assert load_script().main(["--parent", str(tmp_path / "parent"), "--change",
                                str(tmp_path / "change"), "--n", "2", "3", "--repeats", "2",
@@ -43,12 +43,13 @@ def test_sides_alternate_repeat_by_repeat(tmp_path, capsys):
     assert order == ["parent 2", "change 2", "parent 3", "change 3",
                      "change 2", "parent 2", "change 3", "parent 3"]
     record = json.loads(out.read_text())
-    package = tmp_path / "change" / "src" / "bpmdual"
-    digest = hashlib.sha256()
-    for name in ("__init__.py", "approxdeg.py"):
-        digest.update(name.encode() + b"\0" + (package / name).read_bytes() + b"\0")
     for side in ("parent", "change"):
+        package = tmp_path / side / "src" / "bpmdual"
+        digest = hashlib.sha256()
+        for name in ("__init__.py", "approxdeg.py"):
+            digest.update(name.encode() + b"\0" + (package / name).read_bytes() + b"\0")
         assert record["commits"][side]["src_sha256"] == digest.hexdigest()
+    assert record["commits"]["parent"]["src_sha256"] != record["commits"]["change"]["src_sha256"]
     results = record["results"]
     assert [r["n"] for r in results] == [2, 3]
     for r in results:
