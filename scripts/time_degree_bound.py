@@ -17,7 +17,6 @@ certificate.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import platform
@@ -26,8 +25,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from time_workload import SIDES, _git, source_sha256  # noqa: E402
+
 ROOT = Path(__file__).resolve().parent.parent
-SIDES = ("parent", "change")
 
 CHILD = """
 import json, sys, time
@@ -41,23 +42,6 @@ seconds = time.perf_counter() - start
 print(json.dumps({"seconds": seconds, "degree": report.and_degree,
                   "certified": report.certified, "numpy": numpy.__version__}))
 """
-
-
-def _git(root: Path, *args: str) -> str | None:
-    try:
-        out = subprocess.run(["git", "-C", str(root), *args], capture_output=True,
-                             text=True, check=True)
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return out.stdout.strip()
-
-
-def source_sha256(root: Path) -> str:
-    """sha256 over the names and bytes of root/src/bpmdual/*.py, sorted by name."""
-    digest = hashlib.sha256()
-    for path in sorted((root / "src" / "bpmdual").glob("*.py")):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
-    return digest.hexdigest()
 
 
 def _time_once(root: Path, n: int) -> dict:

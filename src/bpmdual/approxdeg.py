@@ -47,7 +47,6 @@ DEFAULT_TOLERANCE = Fraction(1, 10**12)
 _EXCHANGE_MAX_ITER = 4000
 _LOG_MARGIN = 1e-9  # natural-log slack under which a swap asks the enclosure
 _MEMO_SIZE = 1024
-_BULK_STRIDE = 4  # a bulk scan samples every fourth free point
 _BLOCK = 256  # grid points enclosed per vectorized block
 _U = 2.0**-53  # unit roundoff of IEEE double
 
@@ -306,9 +305,7 @@ class _Scan:
     """What one enclosure pass proved about the current node set."""
 
     violations: list[tuple[int, int]]  # (grid point, sign of q) with |q| > 1, strongest first
-    verdict: bool | None  # nu*(d) >= target, or None when a full scan did not decide it
-    log_v: float  # ln V(X)
-    log_max_q: float  # ln of the proven max of |q| over the scanned points, at least 0
+    verdict: bool | None  # nu*(d) >= target, or None when the scan did not decide it
 
 
 class _Exchange:
@@ -351,29 +348,22 @@ class _Exchange:
         peak = self._term_logs.max()
         return float(peak + np.log(np.exp(self._term_logs - peak).sum()))
 
-    def free_points(self) -> np.ndarray:
-        xs = np.array(self.xs, dtype=np.int64)
-        return np.setdiff1d(np.arange(self.m, dtype=np.int64), xs, assume_unique=True)
-
-    def find_violations(self, target: Fraction, points: np.ndarray | None = None) -> _Scan:
-        """Enclose q at `points` (default: every free grid point) and V(X).
+    def find_violations(self, target: Fraction) -> _Scan:
+        """Enclose q at every free grid point and V(X).
 
         If no point is a proven violation |q| > 1, the points the bound
-        leaves undecided are settled by the exact `interpolant`.  A full
-        scan also returns a verdict: infeasible if the bound on V(X) lies
-        below the target, feasible if V(X)/M >= target with M the proven
-        grid maximum of |q| (1 once every free point is proven within
-        [-1, 1]).  Only when nothing is left to swap and V(X) straddles the
-        target is V(X) = q(m) computed exactly."""
+        leaves undecided are settled by the exact `interpolant`.  The
+        verdict is infeasible if the bound on V(X) lies below the target,
+        feasible if V(X)/M >= target with M the proven grid maximum of |q|
+        (1 once every free point is proven within [-1, 1]).  Only when
+        nothing is left to swap and V(X) straddles the target is V(X) = q(m)
+        computed exactly."""
         dm, de = self._derive_logs()
-        full = points is None
-        if full:
-            points = self.free_points()
+        points = np.setdiff1d(np.arange(self.m, dtype=np.int64), self.xs, assume_unique=True)
         ys = np.append(points, self.m).astype(np.float64)
         s, err, e = _enclose(self._xf, dm, de, ys)
         lo, hi = _magnitude_bounds(s, err)
         v_lo, v_hi = _scaled_fraction(lo[-1], e[-1]), _scaled_fraction(hi[-1], e[-1])
-        log_v = math.log(s[-1]) + int(e[-1]) * math.log(2.0)
         s, e, lo, hi = s[:-1], e[:-1], lo[:-1], hi[:-1]
         # comparisons with 1 survive ldexp's overflow and underflow
         proven = np.ldexp(lo, e) > 1
@@ -388,22 +378,20 @@ class _Exchange:
                     violations.append((int(points[i]), 1 if qv > 0 else -1))
                 else:
                     unsettled[i] = False
-        max_q, log_max_q = Fraction(1), 0.0
+        max_q = Fraction(1)
         if unsettled.any():
             mant, exp = np.frexp(hi[unsettled])
             exp = exp + e[unsettled]
             top = exp.max()
             max_q = _scaled_fraction(mant[exp == top].max(), top)
-            log_max_q = _log2_fraction(max_q) * math.log(2.0)
         verdict = None
-        if full:
-            if v_hi < target:
-                verdict = False
-            elif v_lo >= target * max_q:
-                verdict = True
-            elif not violations:  # max_q = 1: q itself is feasible
-                verdict = self.interpolant.evaluate(self.m) >= target
-        return _Scan(violations, verdict, log_v, log_max_q)
+        if v_hi < target:
+            verdict = False
+        elif v_lo >= target * max_q:
+            verdict = True
+        elif not violations:  # max_q = 1: q itself is feasible
+            verdict = self.interpolant.evaluate(self.m) >= target
+        return _Scan(violations, verdict)
 
     def _replace(self, pos: int, y: int) -> None:
         """Swap node at index pos for grid point y; float-only bookkeeping
@@ -438,40 +426,35 @@ class _Exchange:
 
         Dropping the alternation neighbour whose sign matches s keeps the
         data alternating, and then V falls by (|q(y)| - 1) |L_y(m)| > 0, so
-        for a fresh violation the first drop always succeeds.  The other
-        neighbour covers batch entries whose sign went stale; returns False,
-        with the state restored, when neither lowers V.
+        for a fresh violation the drop always succeeds.  Returns False, with
+        the state restored, when V does not fall: a batch entry whose sign
+        went stale.
         """
         before_log = self.logv()
-        before_lo: Fraction | None = None
         pos = bisect_left(self.xs, y)
         d = len(self.xs) - 1
-        if 0 < pos <= d:
-            sign_right = 1 if (d - pos) % 2 == 0 else -1
-            order = [pos, pos - 1] if sign_right == s else [pos - 1, pos]
-        elif pos == 0:
-            order = [0, d] if s == (1 if d % 2 == 0 else -1) else [d, 0]
-        else:
-            order = [d, 0] if s == 1 else [0, d]
+        if 0 < pos <= d:  # y lies between nodes pos - 1 and pos
+            near, other = pos, pos - 1
+        else:  # y lies past an end: the end node next to it, or the far one
+            near, other = (0, d) if pos == 0 else (d, 0)
+        drop = near if s == (1 if (d - near) % 2 == 0 else -1) else other
         saved_xs = list(self.xs)
         saved_logs = self._term_logs.copy()
         saved_xf = self._xf.copy()
         saved_log_m_sum = self._log_m_sum
-        for drop in order:
-            self._replace(drop, y)
-            after_log = self.logv()
-            if after_log < before_log - _LOG_MARGIN:
-                return True
-            if after_log < before_log + _LOG_MARGIN:
-                if before_lo is None:
-                    before_lo = _value_bounds(self.m, saved_xf)[0]
-                if _value_bounds(self.m, self._xf)[1] < before_lo:
-                    return True
-            self.xs[:] = saved_xs
-            self._interpolant = None
-            self._term_logs[:] = saved_logs
-            self._xf[:] = saved_xf
-            self._log_m_sum = saved_log_m_sum
+        self._replace(drop, y)
+        after_log = self.logv()
+        if after_log < before_log - _LOG_MARGIN:
+            return True
+        if after_log < before_log + _LOG_MARGIN and (
+            _value_bounds(self.m, self._xf)[1] < _value_bounds(self.m, saved_xf)[0]
+        ):
+            return True
+        self.xs[:] = saved_xs
+        self._interpolant = None
+        self._term_logs[:] = saved_logs
+        self._xf[:] = saved_xf
+        self._log_m_sum = saved_log_m_sum
         return False
 
     def exchange_batch(self, violations: list[tuple[int, int]]) -> bool:
@@ -489,8 +472,8 @@ class _Exchange:
 class _Solver:
     """Least feasible degree on one grid m for one target ratio.
 
-    A probe runs the exchange on one degree d only until a full scan
-    proves its side of the target; no probe needs the optimum.  Every
+    A probe runs the exchange on one degree d only until a scan proves
+    its side of the target; no probe needs the optimum.  Every
     estimate and every probe starts from the equilibrium seed of its
     degree.  The search starts where the seeds' V(X) cross the target and
     then walks one degree at a time on proven verdicts alone.
@@ -505,34 +488,23 @@ class _Solver:
         return _Exchange(self.m, _equilibrium_int_points(self.m - 1, d + 1))
 
     def probe(self, engine: _Exchange) -> bool:
-        """Exchange on the engine's node set until a full scan proves
-        whether nu*(d) reaches the target; the engine keeps the nodes that
-        proved it.
-
-        Bulk scans sample every fourth free point while that finds
-        violations to swap and the sampled bounds leave the target open;
-        after the bulk every scan is full.
-        """
+        """Exchange on the engine's node set until a scan proves whether
+        nu*(d) reaches the target; the engine keeps the nodes that proved
+        it."""
         d = len(engine.xs) - 1
-        bulk = True
         for _ in range(_EXCHANGE_MAX_ITER):
-            sample = engine.free_points()[::_BULK_STRIDE] if bulk else None
-            scan = engine.find_violations(self.target, sample)
+            scan = engine.find_violations(self.target)
             if scan.verdict is not None:
                 return scan.verdict
-            if bulk:
-                open_target = scan.log_v - scan.log_max_q < self.log_target <= scan.log_v
-                bulk = open_target and engine.exchange_batch(scan.violations)
-            elif not engine.exchange_batch(scan.violations):
+            if not engine.exchange_batch(scan.violations):
                 raise NumericalFailure(f"exchange stalled at m={self.m}, d={d}")
         raise NumericalFailure(f"exchange did not converge at m={self.m}, d={d}")
 
-    def seed_estimate(self, d: int) -> tuple[bool, float]:
-        """Whether ln nu*(d) - ln target looks nonnegative, and its float
-        estimate ln V(X) - ln target on the seed, no scan needed: V(X)
-        bounds nu*(d) from above, and the seed lies near the optimum."""
-        g = self.seed(d).logv() - self.log_target
-        return g >= 0, g
+    def seed_estimate(self, d: int) -> float:
+        """The float estimate ln V(X) - ln target of ln nu*(d) - ln target
+        on the seed, no scan needed: V(X) bounds nu*(d) from above, and the
+        seed lies near the optimum."""
+        return self.seed(d).logv() - self.log_target
 
     def least_degree(self) -> tuple[int, tuple[int, ...]]:
         """Probe the degree where the seed estimates cross the target, then
@@ -561,19 +533,19 @@ class _Solver:
 
 
 def _least_crossing(evaluate, lo: int, g_lo: float, hi: int, g_hi: float) -> int:
-    """Least d in (lo, hi] with evaluate(d) = (True, g), for g an estimate of
-    an increasing convex curve that crosses 0 between the ends.
+    """Least d in (lo, hi] with evaluate(d) >= 0, for evaluate an estimate
+    of an increasing convex curve that crosses 0 between the ends.
 
     Illinois regula falsi: the end kept twice in a row has its g halved, so
     the convex curve cannot stall the bracket on one side.  The ends are
     never evaluated.
     """
-    kept = 0  # +1 after a True verdict, -1 after a False one
+    kept = 0  # +1 after an estimate at or above 0, -1 after one below
     while hi - lo > 1:
         d = lo + math.ceil(-g_lo * (hi - lo) / (g_hi - g_lo))
         d = min(max(d, lo + 1), hi - 1)
-        above, g = evaluate(d)
-        if above:
+        g = evaluate(d)
+        if g >= 0:
             hi, g_hi = d, max(g, _LOG_MARGIN)
             if kept > 0:
                 g_lo /= 2
@@ -703,7 +675,9 @@ def bpm_degree_bound(n: int, eps) -> DegreeBoundReport:
     """Degree bound report: exact monomials below ceil(n^1.5), one AND
     approximant at the worst monomial size n^2 with budget epsilon_prime."""
     eps = Fraction(eps)
-    if not 1 <= n <= BPM_N_MAX:
+    if n < 1:
+        raise DomainError(f"n must be at least 1, got {n}")
+    if n > BPM_N_MAX:
         raise SizeLimitError("n", n, BPM_N_MAX)
     ep = epsilon_prime(n, eps)
     m = n * n

@@ -287,6 +287,18 @@ class TestExchangeBookkeeping:
                 assert np.array_equal(xf, before[2])
                 assert log_m_sum == before[3]
 
+    def test_matching_neighbour_lowers_v(self):
+        # swap_toward drops only the neighbour whose sign matches: for every
+        # fresh violation that one drop must lower V
+        swaps = 0
+        for m in range(3, 41):
+            for d in range(1, m - 1):
+                xs = _equilibrium_int_points(m - 1, d + 1)
+                for y, s in _Exchange(m, xs).find_violations(Fraction(2)).violations:
+                    assert _Exchange(m, xs).swap_toward(y, s), (m, d, y, s)
+                    swaps += 1
+        assert swaps > 600
+
     def test_abs_denominators_match_naive_product(self):
         rng = random.Random(5)
         for size in [1, 2, 3, 4, 7, 8, 33, 100]:
@@ -397,9 +409,15 @@ class TestEnclosure:
         engine = _Exchange(4096, _chebyshev_int_points(4095, 2213))
         (lo, hi, _), = self.enclosures(engine.xs, [2048])
         assert lo < -1 < hi or lo < 1 < hi
-        scan = engine.find_violations(Fraction(2), np.array([2048]))
-        assert scan.violations == [] and scan.log_max_q == 0.0
         assert abs(engine.interpolant.evaluate(2048)) == 1
+        # a full scan settles such a tie exactly: the one free point of this
+        # node set is q(2) = -1
+        engine = _Exchange(4, [0, 1, 3])
+        assert engine.interpolant.evaluate(2) == -1
+        (lo, hi, _), = self.enclosures(engine.xs, [2])
+        assert lo < -1 < hi
+        scan = engine.find_violations(Fraction(5))
+        assert scan.violations == [] and scan.verdict is True
 
 
 class TestBuildAndApproximant:
@@ -512,6 +530,11 @@ class TestDegreeBound:
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
             bpm_degree_bound(65, THIRD)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_below_one(self, n):
+        with pytest.raises(DomainError, match=f"n must be at least 1, got {n}"):
+            bpm_degree_bound(n, THIRD)
 
 
 class TestAssemble:
