@@ -204,13 +204,13 @@ def _gamma(k: int) -> float:
 
 
 def _row_products(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row products of a 2-D array of integers in [1, 4096], as mantissa in
-    [0.5, 1) times 2^exponent.  Groups of four multiply exactly (below
-    2^48), frexp splits off exponents exactly, and mantissas multiply in
-    chunks of 64, which cannot underflow: a row of k factors takes at most
-    k - 1 correctly rounded multiplications."""
+    """Row products of a 2-D array of integers in [1, 4096] whose width is
+    a multiple of four (`_ones_buffer`), as mantissa in [0.5, 1) times
+    2^exponent.  Groups of four multiply exactly (below 2^48), frexp splits
+    off exponents exactly, and mantissas multiply in chunks of 64, which
+    cannot underflow: a row of k factors other than the padding ones takes
+    at most k - 1 correctly rounded multiplications."""
     rows = len(a)
-    a = _padded(a, 4)
     a = a[:, 0::4] * a[:, 1::4] * a[:, 2::4] * a[:, 3::4]
     exp = np.zeros(rows, dtype=np.int64)
     while True:
@@ -228,14 +228,25 @@ def _padded(a: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _ones_buffer(rows: int, width: int) -> np.ndarray:
+    """Ones with the width rounded up to a multiple of four: blocks written
+    into its leading columns are ready for `_row_products`."""
+    return np.ones((rows, -(-width // 4) * 4))
+
+
 def _float_denominators(xf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """|D_i| = prod_{j != i} |x_i - x_j| as mantissa and exponent."""
+    buf = _ones_buffer(min(len(xf), _BLOCK), len(xf))
     mants, exps = [], []
     for start in range(0, len(xf), _BLOCK):
-        dist = np.abs(xf[start : start + _BLOCK, None] - xf[None, :])
+        x = xf[start : start + _BLOCK]
+        block = buf[: len(x)]
+        dist = block[:, : len(xf)]
+        np.subtract(x[:, None], xf[None, :], out=dist)
+        np.abs(dist, out=dist)
         rows = np.arange(len(dist))
         dist[rows, rows + start] = 1.0
-        mant, exp = _row_products(dist)
+        mant, exp = _row_products(block)
         mants.append(mant)
         exps.append(exp)
     return np.concatenate(mants), np.concatenate(exps)
@@ -263,11 +274,14 @@ def _enclose(
     underflow = (d + 1) * 2.0**-1073
     low = de.min()
     inv = np.ldexp(1.0 / dm, low - de)
+    buf = _ones_buffer(min(len(ys), _BLOCK), len(xf))
     ss, errs, es = [], [], []
     for start in range(0, len(ys), _BLOCK):
         y = ys[start : start + _BLOCK]
         diff = y[:, None] - xf[None, :]
-        wm, we = _row_products(np.abs(diff))
+        block = buf[: len(y)]
+        np.abs(diff, out=block[:, : len(xf)])
+        wm, we = _row_products(block)
         terms = wm[:, None] / diff
         terms *= inv
         total = terms.sum(axis=1)
@@ -500,33 +514,41 @@ class _Solver:
                 raise NumericalFailure(f"exchange stalled at m={self.m}, d={d}")
         raise NumericalFailure(f"exchange did not converge at m={self.m}, d={d}")
 
-    def seed_estimate(self, d: int) -> float:
-        """The float estimate ln V(X) - ln target of ln nu*(d) - ln target
-        on the seed, no scan needed: V(X) bounds nu*(d) from above, and the
-        seed lies near the optimum."""
-        return self.seed(d).logv() - self.log_target
-
     def least_degree(self) -> tuple[int, tuple[int, ...]]:
         """Probe the degree where the seed estimates cross the target, then
         walk down while probes stay feasible or up until one is; returns
         the degree and the node set that proved it feasible.  Every probe
         starts from the seed of its degree.
         """
+        # seeds built by the estimates, each probed at most once
+        seeds: dict[int, _Exchange] = {}
+
+        def seed_estimate(d: int) -> float:
+            """The float estimate ln V(X) - ln target of ln nu*(d) - ln
+            target on the seed, no scan needed: V(X) bounds nu*(d) from
+            above, and the seed lies near the optimum."""
+            seeds[d] = self.seed(d)
+            return seeds[d].logv() - self.log_target
+
+        def fresh_seed(d: int) -> _Exchange:
+            engine = seeds.pop(d, None)
+            return self.seed(d) if engine is None else engine
+
         # ln nu*(0) = 0 and ln nu*(m - 1) = ln(2^m - 1): degree 0 is
         # infeasible and degree m - 1 feasible, so both walks end in range
         ends = (0, -self.log_target, self.m - 1, self.m * math.log(2.0) - self.log_target)
-        d = _least_crossing(self.seed_estimate, *ends)
-        engine = self.seed(d)
+        d = _least_crossing(seed_estimate, *ends)
+        engine = fresh_seed(d)
         if self.probe(engine):
             while d > 1:
-                below = self.seed(d - 1)
+                below = fresh_seed(d - 1)
                 if not self.probe(below):
                     break
                 d, engine = d - 1, below
         else:
             while True:
                 d += 1
-                engine = self.seed(d)
+                engine = fresh_seed(d)
                 if self.probe(engine):
                     break
         return d, tuple(engine.xs)

@@ -44,18 +44,32 @@ def block_coefficient(block: Block) -> int:
 
 def sequence_coefficient(s: RepresentingSequence) -> int:
     """Dual coefficient of the sorted ordered graph with sequence s."""
-    n = s.n
-    t = s.t
-    value = binomial(n - s.k(t - 1) - 1, n - s.d(t))
-    for i in range(1, t):
+    return _closed_form(s.n, s.pairs)
+
+
+def _closed_form(n: int, pairs: tuple[tuple[int, int], ...]) -> int:
+    """The closed form on valid (d_i, k_i) pairs, with k_0 = 0.
+
+    Block i contributes f(d_{i+1} - k_{i-1}, d_i - k_{i-1}, k_i - k_{i-1}).
+    As d and k ascend strictly, the one binomial argument that can be
+    negative is k - d, which the branch tests; math.comb returns 0 for
+    b > a >= 0.  The top d_{i+1} - k_{i-1} - 1 of the d <= k_{i-1} branch is
+    never negative where it is reached: d_{i+1} <= k_{i-1} gives
+    d_i < k_{i-1}, which makes block i - 1's factor 0 and ends the loop.
+    """
+    value = 1
+    prev_k = 0
+    for (d, k), (d_next, _) in zip(pairs, pairs[1:]):
+        if d <= prev_k:  # C(d_next - prev_k - 1, k - prev_k)
+            value *= math.comb(d_next - prev_k - 1, k - prev_k)
+        elif k < d:  # C(d_next - d - 1, k - d) = 0
+            return 0
+        else:
+            value *= -math.comb(d_next - d - 1, k - d) * math.comb(k - prev_k - 1, d - prev_k - 1)
         if value == 0:
             return 0
-        value *= f_factor(
-            s.d(i + 1) - s.k(i - 1),
-            s.d(i) - s.k(i - 1),
-            s.k(i) - s.k(i - 1),
-        )
-    return value
+        prev_k = k
+    return value * math.comb(n - prev_k - 1, n - pairs[-1][0])
 
 
 def dual_coefficient(g: BipartiteGraph) -> int:
@@ -68,5 +82,4 @@ def dual_coefficient(g: BipartiteGraph) -> int:
     rows = _chain(g.rows)
     if rows is None:
         return 0
-    pairs = _run_lengths(row.bit_count() for row in rows)
-    return sequence_coefficient(RepresentingSequence(g.n, pairs))
+    return _closed_form(g.n, _run_lengths(row.bit_count() for row in rows))

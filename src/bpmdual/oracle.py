@@ -176,12 +176,45 @@ def star_table(n: int, huge: bool = False) -> np.ndarray:
     return np.logical_not(has_pm[::-1]).view(np.int8)
 
 
+# A lattice sweep over bit b runs numpy's inner loop over 2^b contiguous
+# entries, so the low bits pay per-call overhead on tiny runs.  The array is
+# cut into contiguous blocks of _BLOCK_ROWS rows of 2^_LOW_BITS entries (1 MiB
+# of int32), each small enough to stay in cache while all its bits are swept.
+_LOW_BITS = 5
+_BLOCK_ROWS = 1 << 13
+
+
 def _lattice_sweep(a: np.ndarray, bits: int, op) -> np.ndarray:
-    """In each lattice dimension, set the bit-on half to op(bit-on, bit-off), in place."""
-    for b in range(bits):
+    """In each lattice dimension, set the bit-on half to op(bit-on, bit-off), in place.
+
+    Each block is copied transposed into one buffer, where the low bits run
+    along rows of a whole block's length, and copied back; the block's
+    remaining bits are swept in place while it is still cached, and only the
+    bits above a block touch the whole array.
+    """
+    import numpy as np
+
+    low = min(bits, _LOW_BITS)
+    rows = a.reshape(-1, 1 << low)
+    count = min(len(rows), _BLOCK_ROWS)
+    inside = low + count.bit_length() - 1  # bits below this stay within one block
+    buf = np.empty((1 << low, count), dtype=a.dtype)
+    low_views = [buf.reshape(-1, 2, count << b) for b in range(low)]
+    for start in range(0, len(rows), count):
+        block = rows[start:start + count]
+        buf[...] = block.T
+        for view in low_views:
+            op(view[:, 1], view[:, 0], out=view[:, 1])
+        block[...] = buf.T
+        _in_place_sweep(block.reshape(-1), range(low, inside), op)
+    _in_place_sweep(a, range(inside, bits), op)
+    return a
+
+
+def _in_place_sweep(a: np.ndarray, bit_range: range, op) -> None:
+    for b in bit_range:
         view = a.reshape(-1, 2, 1 << b)
         op(view[:, 1, :], view[:, 0, :], out=view[:, 1, :])
-    return a
 
 
 def mobius_transform(values: np.ndarray, bits: int) -> np.ndarray:

@@ -141,11 +141,15 @@ def _run_lengths(degrees) -> tuple[tuple[int, int], ...]:
     """Run-length encode an ascending degree profile into the (d_i, k_i)
     pairs of a representing sequence: k_i counts the rows of degree <= d_i."""
     pairs = []
-    for i, deg in enumerate(degrees, 1):
-        if pairs and pairs[-1][0] == deg:
-            pairs[-1] = (deg, i)
-        else:
-            pairs.append((deg, i))
+    count = 0
+    prev = None
+    for deg in degrees:
+        if deg != prev and count:
+            pairs.append((prev, count))
+        prev = deg
+        count += 1
+    if count:
+        pairs.append((prev, count))
     return tuple(pairs)
 
 

@@ -404,6 +404,36 @@ class TestEnclosure:
             assert lo <= Fraction(b_lo) / Fraction(2) ** k
             assert Fraction(b_hi) / Fraction(2) ** k <= hi, y
 
+    def test_denominators_match_fresh_padded_copies_at_4096(self):
+        # |D_i| built block by block into one reused ones-padded buffer has
+        # the bits of the same products formed on a fresh padded copy of
+        # each block: 2213 nodes leave a ragged column group and a short
+        # last block
+        def padded(a, k):
+            out = np.ones((len(a), -(-a.shape[1] // k) * k))
+            out[:, : a.shape[1]] = a
+            return out
+
+        xf = np.array(_chebyshev_int_points(4095, 2213), dtype=np.float64)
+        mants, exps = [], []
+        for start in range(0, len(xf), 256):
+            dist = np.abs(xf[start : start + 256, None] - xf[None, :])
+            dist[np.arange(len(dist)), np.arange(len(dist)) + start] = 1.0
+            a = padded(dist, 4)
+            a = a[:, 0::4] * a[:, 1::4] * a[:, 2::4] * a[:, 3::4]
+            exp = np.zeros(len(a), dtype=np.int64)
+            while True:
+                a, e = np.frexp(a)
+                exp += e.sum(axis=1)
+                if a.shape[1] == 1:
+                    break
+                a = padded(a, 64).reshape(len(a), -1, 64).prod(axis=2)
+            mants.append(a[:, 0])
+            exps.append(exp)
+        dm, de = _float_denominators(xf)
+        assert dm.tobytes() == np.concatenate(mants).tobytes()
+        assert de.tobytes() == np.concatenate(exps).tobytes()
+
     def test_tie_at_4096_settled_exactly(self):
         # |q(2048)| = 1 exactly on this seed, so no float bound decides it
         engine = _Exchange(4096, _chebyshev_int_points(4095, 2213))

@@ -2,6 +2,7 @@
 the closed form, and the documented anomalies hold exactly as recorded."""
 
 import random
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -12,6 +13,7 @@ from bpmdual.bigraph import BipartiteGraph, all_graphs, is_matching_covered
 from bpmdual.coeff import dual_coefficient
 from bpmdual.oracle import (
     _chi_sum_raw,
+    _lattice_sweep,
     bpm_star_value,
     coefficient_table,
     elementary_sum_coefficient,
@@ -99,6 +101,53 @@ class TestLatticeTransforms:
         mobius_transform(values, 4)
         zeta_transform(values, 4)
         assert np.array_equal(values, np.arange(16))
+
+
+def per_bit_sweep(a, bits, op):
+    """One in-place pass per lattice bit over the whole array: the reference
+    for the blocked sweep."""
+    for b in range(bits):
+        view = a.reshape(-1, 2, 1 << b)
+        op(view[:, 1, :], view[:, 0, :], out=view[:, 1, :])
+    return a
+
+
+def random_values(rng, size, dtype):
+    if dtype == np.bool_:
+        return rng.random(size) < 0.1
+    info = np.iinfo(dtype)
+    return rng.integers(info.min, info.max, size=size, dtype=dtype, endpoint=True)
+
+
+class TestLatticeSweep:
+    @pytest.mark.parametrize("bits", range(7))
+    @pytest.mark.parametrize("dtype, op", [
+        (np.bool_, np.bitwise_or),
+        *[(dtype, op) for dtype in (np.int8, np.int32, np.int64)
+          for op in (np.bitwise_or, np.subtract, np.add)],
+    ])
+    def test_matches_per_bit_sweep(self, bits, dtype, op):
+        values = random_values(np.random.default_rng(bits), 1 << bits, dtype)
+        expected = per_bit_sweep(values.copy(), bits, op)
+        swept = values.copy()
+        assert _lattice_sweep(swept, bits, op) is swept
+        assert np.array_equal(swept, expected)
+
+    @pytest.mark.parametrize("op", [np.bitwise_or, np.subtract, np.add])
+    def test_several_blocks(self, op):
+        values = random_values(np.random.default_rng(20), 1 << 20, np.int64)
+        expected = per_bit_sweep(values.copy(), 20, op)
+        assert np.array_equal(_lattice_sweep(values, 20, op), expected)
+
+    def test_mobius_allocates_little_beyond_its_output(self):
+        values = (np.random.default_rng(1).random(1 << 20) < 0.5).astype(np.int32)
+        tracemalloc.start()
+        try:
+            coeffs = mobius_transform(values, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert coeffs.nbytes <= peak <= coeffs.nbytes + (2 << 20)
 
 
 class TestMobius:

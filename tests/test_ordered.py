@@ -13,6 +13,7 @@ from bpmdual.bigraph import BipartiteGraph, all_graphs
 from bpmdual.ordered import (
     Block,
     RepresentingSequence,
+    _run_lengths,
     block_decompose,
     canonical_sort,
     is_degenerate,
@@ -146,6 +147,18 @@ class TestRepresentingSequence:
             if not is_sorted_ordered(graph):
                 continue
             assert representing_sequence(graph).decode() == graph
+
+    @pytest.mark.parametrize("degrees, pairs", [
+        ([], ()),
+        ([3], ((3, 1),)),
+        ([2, 2, 2, 2], ((2, 4),)),
+        ([0, 1, 2, 3], ((0, 1), (1, 2), (2, 3), (3, 4))),
+        ([0, 0, 0], ((0, 3),)),
+        ([0, 0, 2, 2, 2, 5], ((0, 2), (2, 5), (5, 6))),
+    ])
+    def test_run_lengths(self, degrees, pairs):
+        assert _run_lengths(degrees) == pairs
+        assert _run_lengths(iter(degrees)) == pairs
 
     def test_text_form_round_trip(self):
         s = seq(8, (2, 2), (5, 5), (8, 8))

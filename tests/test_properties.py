@@ -1,5 +1,6 @@
 """Property tests: text formats round-trip, malformed dumps fail cleanly,
-and the CLI exits 0 or 2 without a traceback on any argument vector."""
+the closed form agrees on its two entry points, and the CLI exits 0 or 2
+without a traceback on any argument vector."""
 
 import io
 import json
@@ -8,12 +9,18 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bpmdual.bigraph import BipartiteGraph, parse_graph  # noqa: E402
 from bpmdual.cli import run  # noqa: E402
-from bpmdual.ordered import RepresentingSequence  # noqa: E402
+from bpmdual.coeff import binomial, dual_coefficient, f_factor, sequence_coefficient  # noqa: E402
+from bpmdual.ordered import (  # noqa: E402
+    RepresentingSequence,
+    canonical_sort,
+    is_totally_ordered,
+    representing_sequence,
+)
 from bpmdual.polyspace import DualPolynomial  # noqa: E402
 
 # Timing varies too much on shared machines for a per-example deadline.
@@ -34,6 +41,16 @@ def sequences(draw):
     ds = sorted(draw(st.permutations(range(n + 1)))[:t])
     ks = sorted(draw(st.permutations(range(1, n)))[: t - 1]) + [n]
     return RepresentingSequence(n, tuple(zip(ds, ks)))
+
+
+@st.composite
+def totally_ordered_graphs(draw, max_n=10):
+    """Each row a prefix, of random length, of one random column order."""
+    n = draw(st.integers(1, max_n))
+    cols = draw(st.permutations(range(n)))
+    prefixes = [sum(1 << c for c in cols[:k]) for k in range(n + 1)]
+    degrees = draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+    return BipartiteGraph(n, tuple(prefixes[d] for d in degrees))
 
 
 @st.composite
@@ -67,6 +84,34 @@ def test_graph_text_round_trip(g):
 @given(sequences())
 def test_sequence_text_round_trip(s):
     assert RepresentingSequence.parse(str(s)) == s
+
+
+def factor_product(s):
+    """The closed form term by term through binomial and f_factor."""
+    value = binomial(s.n - s.k(s.t - 1) - 1, s.n - s.d(s.t))
+    for i in range(1, s.t):
+        value *= f_factor(s.d(i + 1) - s.k(i - 1), s.d(i) - s.k(i - 1), s.k(i) - s.k(i - 1))
+    return value
+
+
+@relaxed
+@given(sequences())
+def test_sequence_coefficient_is_the_factor_product(s):
+    assert sequence_coefficient(s) == factor_product(s)
+
+
+@relaxed
+@given(totally_ordered_graphs())
+def test_dual_coefficient_of_a_chain_is_its_sequence_coefficient(g):
+    s = representing_sequence(canonical_sort(g)[0])
+    assert dual_coefficient(g) == sequence_coefficient(s)
+
+
+@relaxed
+@given(graphs(max_n=10))
+def test_dual_coefficient_vanishes_off_chains(g):
+    assume(not is_totally_ordered(g))
+    assert dual_coefficient(g) == 0
 
 
 @relaxed
