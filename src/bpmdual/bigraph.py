@@ -20,6 +20,13 @@ N_MAX = 32
 HETYEI_N_MAX = 5
 
 
+def _check_side(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"side size must be positive, got {n}")
+    if n > N_MAX:
+        raise SizeLimitError("n", n, N_MAX)
+
+
 @dataclass(frozen=True)
 class BipartiteGraph:
     """Immutable balanced bipartite graph over the vertices of K_{n,n}."""
@@ -28,10 +35,7 @@ class BipartiteGraph:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"side size must be positive, got {self.n}")
-        if self.n > N_MAX:
-            raise SizeLimitError("n", self.n, N_MAX)
+        _check_side(self.n)
         if len(self.rows) != self.n:
             raise ValueError(f"expected {self.n} rows, got {len(self.rows)}")
         full = (1 << self.n) - 1
@@ -61,8 +65,13 @@ class BipartiteGraph:
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "BipartiteGraph":
         """Build from an n^2-bit edge mask; bit i*n+j is the 0-based edge (i, j)."""
+        _check_side(n)
         full = (1 << n) - 1
-        return cls(n, tuple((mask >> (i * n)) & full for i in range(n)))
+        # Each row is masked to n bits here, so the row checks of __init__ are skipped.
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "rows", tuple((mask >> (i * n)) & full for i in range(n)))
+        return g
 
     @property
     def mask(self) -> int:
@@ -215,14 +224,13 @@ def _has_pm_with_forced_edge(g: BipartiteGraph, i: int, j: int) -> bool:
 
 
 def _matching_classes(
-    n: int, rows: tuple[int, ...], match_of_col: list[int] | None = None
+    n: int, rows: tuple[int, ...]
 ) -> tuple[list[int] | None, set[int] | None]:
     """(match_of_col, classes) of the graph with these rows.
 
-    match_of_col is one perfect matching M, None when there is none.  A
-    given match_of_col is reused as M when every one of its edges is in
-    rows; otherwise a fresh one is searched for.  classes is the set of left
-    masks of the components when the graph is matching-covered, else None.
+    match_of_col is one perfect matching M, None when there is none.
+    classes is the set of left masks of the components when the graph is
+    matching-covered, else None.
 
     Bit r of reach[i] says that row r is reachable from row i by steps
     "edge (i, j), then back along M to the row matched to j" (every row
@@ -234,10 +242,9 @@ def _matching_classes(
     sizes sum past n.  Each class is one component, since the components of
     a matching-covered graph are elementary (Lovasz-Plummer).
     """
-    if match_of_col is None or any(not rows[i] >> j & 1 for j, i in enumerate(match_of_col)):
-        match_of_col = _match_rows(n, rows)
-        if match_of_col is None:
-            return None, None
+    match_of_col = _match_rows(n, rows)
+    if match_of_col is None:
+        return None, None
     reach = []
     for i, row in enumerate(rows):
         acc = 1 << i

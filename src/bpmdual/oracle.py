@@ -9,19 +9,11 @@ against these exhaustively at small n.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import permutations
-from typing import TYPE_CHECKING
+from itertools import combinations, permutations
+from typing import TYPE_CHECKING, Iterator
 
 from ._errors import EmptyGraphError, PreconditionError, SizeLimitError
-from .bigraph import (
-    BipartiteGraph,
-    _components,
-    _match_rows,
-    _matching_classes,
-    complement,
-    has_perfect_matching,
-)
+from .bigraph import BipartiteGraph, _components, complement, has_perfect_matching
 from .ordered import permitted_edges, representing_sequence
 from .polyspace import DualPolynomial
 
@@ -34,70 +26,162 @@ PERMITTED_N_MAX = 5
 TABLE_N_MAX = 4
 TABLE_N_MAX_HUGE = 5
 
+# The per-graph oracles classify the subsets or supersets of one graph in
+# numpy blocks of 2^_WALK_BITS masks, so their memory does not grow with the walk.
+_WALK_BITS = 12
+
 
 def bpm_star_value(g: BipartiteGraph) -> int:
     """1 iff the complement of g has no perfect matching."""
     return 0 if has_perfect_matching(complement(g)) else 1
 
 
-# Room for all 66,066 masks with n <= 4: at 2^16 a process that mixes sizes
-# cycles the LRU through more keys than it holds and misses on every scan.
-@lru_cache(maxsize=1 << 17)
-def _star_by_mask(n: int, mask: int) -> int:
-    full = (1 << n) - 1
-    complement_rows = tuple(~(mask >> (i * n)) & full for i in range(n))
-    return 0 if _match_rows(n, complement_rows) is not None else 1
+def _permutation_masks(n: int) -> list[int]:
+    """The edge masks of the n! perfect matchings of K_{n,n}."""
+    return [sum(1 << (i * n + p[i]) for i in range(n)) for p in permutations(range(n))]
+
+
+def _doubling(bits: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(masks, signs): every OR of a subset of the single-bit masks in bits,
+    with sign (-1)^(size of the subset).  Each bit appends (masks | bit,
+    -signs) to what is there, so the signs need no popcount."""
+    import numpy as np
+
+    masks = np.zeros(1, dtype=np.int64)
+    signs = np.ones(1, dtype=np.int64)
+    for bit in bits:
+        masks = np.concatenate((masks, masks | bit))
+        signs = np.concatenate((signs, -signs))
+    return masks, signs
+
+
+def _signed_walk(bits: list[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The subset ORs and signs of _doubling(bits), in blocks of at most
+    2^_WALK_BITS: each block is the subsets of the low bits joined with one
+    subset of the high ones.  For ascending bits 1, 2, 4, ... the masks run
+    through 0, 1, 2, ... in order."""
+    low_masks, low_signs = _doubling(bits[:_WALK_BITS])
+    high_masks, high_signs = _doubling(bits[_WALK_BITS:])
+    for high, sign in zip(high_masks.tolist(), high_signs.tolist()):
+        yield low_masks | high, (low_signs if sign > 0 else -low_signs)
+
+
+def _rectangles(g: BipartiteGraph) -> list[int]:
+    """Every A x B inside g with |A| + |B| = n + 1, as a compact mask whose
+    bit t is the t-th edge of g in row-major order.
+
+    By Frobenius-Konig, BPM*(H) = 1 iff H contains one: the complement of H
+    then has an all-zero |A| x |B| submatrix and no perfect matching.  Row
+    sets are grown in increasing order while their rows still share a column
+    and while the rows that could still join, plus those columns, can reach
+    n + 1.
+    """
+    n, rows = g.n, g.rows
+    first = [0] * n  # compact bit of row i's lowest edge
+    for i in range(1, n):
+        first[i] = first[i - 1] + rows[i - 1].bit_count()
+
+    def bit(i: int, j: int) -> int:
+        return 1 << (first[i] + (rows[i] & ((1 << j) - 1)).bit_count())
+
+    out = []
+    stack = [((), (1 << n) - 1, 0)]  # (row set A, columns its rows share, next row)
+    while stack:
+        left, shared, start = stack.pop()
+        for i in range(start, n):
+            common = shared & rows[i]
+            a = left + (i,)
+            joinable = sum(1 for row in rows[i + 1:] if row & common)
+            if len(a) + joinable + common.bit_count() <= n:
+                continue
+            cols = [j for j in range(n) if common >> j & 1]
+            for b in combinations(cols, n + 1 - len(a)):
+                out.append(sum(bit(r, j) for r in a for j in b))
+            stack.append((a, common, i + 1))
+    return out
+
+
+def _holds_rectangle(subs: np.ndarray, rects: list[int]) -> np.ndarray:
+    """Per compact mask in subs (a block of _signed_walk): does it contain one of rects?"""
+    import numpy as np
+
+    top = int(subs[-1])  # the last mask of a block holds every bit of the block
+    star = np.zeros(len(subs), dtype=bool)
+    for r in rects:
+        if not r & ~top:
+            star |= (subs & r) == r
+    return star
 
 
 def mobius_coefficient(g: BipartiteGraph) -> int:
     """Coefficient of g's monomial by direct inversion over subgraphs:
-    sum over H subseteq G of (-1)^(|E(G)| - |E(H)|) * BPM*(H)."""
-    m = g.mask
-    edges = m.bit_count()
+    sum over H subseteq G of (-1)^(|E(G)| - |E(H)|) * BPM*(H), with BPM*(H)
+    read from the rectangles of g that H contains (Frobenius-Konig)."""
+    edges = g.edge_count
     if edges > MOBIUS_EDGE_MAX:
         raise SizeLimitError("|E|", edges, MOBIUS_EDGE_MAX)
-    n = g.n
+    rects = _rectangles(g)
+    if not rects:  # BPM* is monotone: 0 on g, so 0 on every subgraph
+        return 0
     acc = 0
-    sub = m
-    while True:
-        sign = -1 if (edges - sub.bit_count()) & 1 else 1
-        acc += sign * _star_by_mask(n, sub)
-        if sub == 0:
-            return acc
-        sub = (sub - 1) & m
+    for subs, signs in _signed_walk([1 << t for t in range(edges)]):
+        acc += int(signs[_holds_rectangle(subs, rects)].sum())
+    return -acc if edges & 1 else acc
 
 
-def _superset_rows(n: int, m: int, free: int):
-    """Row masks of every edge set m | sub with sub a subset of free, as
-    (sub, rows) pairs from sub = free down to sub = 0."""
-    full = (1 << n) - 1
-    shifts = range(0, n * n, n)
-    sub = free
-    while True:
-        h = m | sub
-        yield sub, tuple((h >> s) & full for s in shifts)
-        if sub == 0:
-            return
-        sub = (sub - 1) & free
+def _covered_components(n: int, perms: list[int], h: np.ndarray) -> np.ndarray:
+    """Per edge mask in h: its number of connected components when the graph
+    is matching-covered, else 0.
+
+    A graph is matching-covered iff it holds a perfect matching and every
+    edge lies in one, that is iff the OR of the permutation masks it holds
+    (from perms) is the whole nonempty graph.  Then no vertex is isolated,
+    so its components are the classes of rows that share a column, closed
+    by Warshall's algorithm over the n row masks.
+    """
+    import numpy as np
+
+    union = np.zeros_like(h)
+    for p in perms:
+        union |= np.where((h & p) == p, p, 0)
+    covered = (union == h) & (h != 0)
+    rows = (h[covered] >> np.arange(0, n * n, n)[:, None]) & ((1 << n) - 1)
+    row_bits = 1 << np.arange(n)
+    reach = np.where((rows[:, None, :] & rows[None, :, :]) != 0,
+                     row_bits[None, :, None], 0).sum(axis=1)
+    for k in range(n):
+        reach |= np.where(reach & (1 << k), reach[k], 0)
+    comps = np.zeros(len(h), dtype=np.int64)
+    # One class per row that reaches no row below it.
+    comps[covered] = ((reach & (row_bits - 1)[:, None]) == 0).sum(axis=0)
+    return comps
+
+
+def _supergraph_components(
+    n: int, m: int, free: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(signs, comps) per block over H = m | sub for every sub subseteq free:
+    sign (-1)^|sub| and _covered_components of H."""
+    top = m | free
+    perms = [p for p in _permutation_masks(n) if not p & ~top]
+    for subs, signs in _signed_walk([1 << b for b in range(n * n) if free >> b & 1]):
+        yield signs, _covered_components(n, perms, subs | m)
 
 
 def _chi_sum_raw(g: BipartiteGraph) -> int:
     """The matching-covered sign sum with no domain guard (see Open Question).
 
     (-1)^(|E(G)|+1) * sum over matching-covered H >= G of (-1)^chi(H), where
-    chi(H) = |E(H)| - 2n + #components.  Consecutive supersets share most
-    edges, so each reuses the last perfect matching found when it still fits.
+    chi(H) = |E(H)| - 2n + #components.  With H = G + sub this is minus the
+    sum of (-1)^(|sub| + #components).
     """
     n = g.n
     m = g.mask
     acc = 0
-    match = None
-    for sub, rows in _superset_rows(n, m, ((1 << (n * n)) - 1) ^ m):
-        found, classes = _matching_classes(n, rows, match)
-        match = found or match
-        if classes is not None:
-            acc += -1 if ((m | sub).bit_count() + len(classes)) & 1 else 1
-    return acc if (m.bit_count() + 1) & 1 == 0 else -acc
+    for signs, comps in _supergraph_components(n, m, ((1 << (n * n)) - 1) ^ m):
+        covered = comps > 0
+        acc += int(signs[covered] @ (1 - 2 * (comps[covered] & 1)))
+    return -acc
 
 
 def mc_chi_sum_coefficient(g: BipartiteGraph) -> int:
@@ -145,16 +229,10 @@ def permitted_sum_coefficient(h: BipartiteGraph) -> int:
 
 
 def _elementary_sum(n: int, m: int, free: int) -> int:
-    """Sum over elementary H = m | sub, sub a subset of free, of (-1)^|sub|."""
-    elementary = {(1 << n) - 1}
-    acc = 0
-    match = None
-    for sub, rows in _superset_rows(n, m, free):
-        found, classes = _matching_classes(n, rows, match)
-        match = found or match
-        if classes == elementary:
-            acc += -1 if sub.bit_count() & 1 else 1
-    return acc
+    """Sum over elementary (matching-covered, connected) H = m | sub, sub a
+    subset of free, of (-1)^|sub|."""
+    return sum(int(signs[comps == 1].sum())
+               for signs, comps in _supergraph_components(n, m, free))
 
 
 def star_table(n: int, huge: bool = False) -> np.ndarray:
@@ -169,8 +247,7 @@ def star_table(n: int, huge: bool = False) -> np.ndarray:
     if n > cap:
         raise SizeLimitError("n", n, cap)
     has_pm = np.zeros(1 << (n * n), dtype=bool)
-    for p in permutations(range(n)):
-        has_pm[sum(1 << (i * n + p[i]) for i in range(n))] = True
+    has_pm[_permutation_masks(n)] = True
     _lattice_sweep(has_pm, n * n, np.bitwise_or)
     # star[mask] = 1 - has_pm[complement of mask]; complement reverses index order.
     return np.logical_not(has_pm[::-1]).view(np.int8)

@@ -132,8 +132,11 @@ def is_totally_ordered(g: BipartiteGraph) -> bool:
 def _chain(rows: tuple[int, ...]) -> list[int] | None:
     """The rows sorted by degree if they form a chain under inclusion, else None."""
     rows = sorted(rows, key=int.bit_count)
-    if any(a & ~b for a, b in zip(rows, rows[1:])):
-        return None
+    prev = 0
+    for row in rows:
+        if prev & ~row:
+            return None
+        prev = row
     return rows
 
 

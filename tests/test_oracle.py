@@ -2,6 +2,7 @@
 the closed form, and the documented anomalies hold exactly as recorded."""
 
 import random
+import time
 import tracemalloc
 from itertools import permutations
 
@@ -9,11 +10,24 @@ import numpy as np
 import pytest
 
 from bpmdual._errors import EmptyGraphError, PreconditionError, SizeLimitError
-from bpmdual.bigraph import BipartiteGraph, all_graphs, is_matching_covered
+from bpmdual import oracle
+from bpmdual.bigraph import (
+    BipartiteGraph,
+    all_graphs,
+    connected_components,
+    is_elementary,
+    is_matching_covered,
+)
 from bpmdual.coeff import dual_coefficient
 from bpmdual.oracle import (
     _chi_sum_raw,
+    _covered_components,
+    _elementary_sum,
+    _holds_rectangle,
     _lattice_sweep,
+    _permutation_masks,
+    _rectangles,
+    _signed_walk,
     bpm_star_value,
     coefficient_table,
     elementary_sum_coefficient,
@@ -182,6 +196,164 @@ class TestChiSum:
         assert _chi_sum_raw(BipartiteGraph.empty(2)) == -1
         assert _chi_sum_raw(BipartiteGraph.empty(1)) == -1
         assert coefficient_table(2).constant_term == 0
+
+
+def subgraph_sign_sum(graph):
+    """sum over H subseteq G of (-1)^(|E(G)| - |E(H)|) * BPM*(H), with one
+    augmenting-path matching test per subgraph: the reference for the
+    Frobenius-Konig walk in mobius_coefficient."""
+    m = graph.mask
+    acc, sub = 0, m
+    while True:
+        sign = -1 if (m.bit_count() - sub.bit_count()) & 1 else 1
+        acc += sign * bpm_star_value(BipartiteGraph.from_mask(graph.n, sub))
+        if sub == 0:
+            return acc
+        sub = (sub - 1) & m
+
+
+def supergraph_sums(graph):
+    """(raw chi sum, elementary sum) with one graph and the per-graph
+    predicates per supergraph: the reference for the batched classifier."""
+    n, m = graph.n, graph.mask
+    free = ((1 << (n * n)) - 1) ^ m
+    chi = elementary = 0
+    sub = free
+    while True:
+        h = BipartiteGraph.from_mask(n, m | sub)
+        sign = -1 if sub.bit_count() & 1 else 1
+        if is_matching_covered(h):
+            chi -= sign * (-1) ** connected_components(h)
+            elementary += sign * is_elementary(h)
+        if sub == 0:
+            return chi, elementary
+        sub = (sub - 1) & free
+
+
+def sample_masks(n, count, seed):
+    """Half a permutation plus random edges (often matching-covered), half
+    uniform masks of random density."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        perm = rng.sample(range(n), n)
+        mask = sum(1 << (i * n + perm[i]) for i in range(n)) if k % 2 else 0
+        density = rng.uniform(0.0, 0.9)
+        out.append(mask | sum(1 << b for b in range(n * n) if rng.random() < density))
+    return out
+
+
+class TestBatchedClassifier:
+    """The numpy classifier of the supergraph oracles against the per-graph
+    predicates: permutation-mask union instead of alternating reach, and a
+    row-overlap closure instead of the component traversal."""
+
+    @staticmethod
+    def check(n, masks):
+        comps = _covered_components(n, _permutation_masks(n), np.array(masks, dtype=np.int64))
+        seen = set()
+        for mask, c in zip(masks, comps.tolist()):
+            graph = BipartiteGraph.from_mask(n, mask)
+            covered = is_matching_covered(graph)
+            assert (c > 0) == covered, graph
+            assert (c == 1) == is_elementary(graph), graph
+            if covered:
+                assert c == connected_components(graph), graph
+            seen.add(min(c, 2))
+        return seen
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_exhaustive(self, n):
+        self.check(n, list(range(1 << (n * n))))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_seeded(self, n):
+        # not covered, elementary, and covered with several components all occur
+        assert self.check(n, sample_masks(n, 1500, seed=n)) == {0, 1, 2}
+
+
+class TestWalks:
+    def test_subset_walk_spans_blocks_in_order(self):
+        bits = 14
+        blocks = list(_signed_walk([1 << t for t in range(bits)]))
+        assert len(blocks) == 1 << (bits - oracle._WALK_BITS)
+        masks = np.concatenate([b[0] for b in blocks])
+        signs = np.concatenate([b[1] for b in blocks])
+        assert np.array_equal(masks, np.arange(1 << bits))
+        assert signs.tolist() == [-1 if x.bit_count() & 1 else 1 for x in range(1 << bits)]
+
+    def test_mobius_over_several_blocks(self):
+        graph = BipartiteGraph.from_mask(4, 0xFFFF ^ 0b1000_0000_0000_0001)  # 14 edges
+        assert mobius_coefficient(graph) == subgraph_sign_sum(graph) == dual_coefficient(graph)
+
+    def test_supergraph_sums_over_several_blocks(self):
+        graph = g(4, (1, 1), (1, 2), (2, 1))  # 13 free edges: two blocks
+        chi, elementary = supergraph_sums(graph)
+        assert _chi_sum_raw(graph) == chi == dual_coefficient(graph)
+        # the sum behind elementary_sum_coefficient, whose precondition this graph fails
+        assert _elementary_sum(4, graph.mask, 0xFFFF ^ graph.mask) == elementary
+
+    def test_small_blocks_give_the_same_sums(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_WALK_BITS", 2)
+        for graph in all_graphs(3):
+            if graph.edge_count == 0:
+                continue
+            expected = dual_coefficient(graph)
+            assert mobius_coefficient(graph) == expected, graph
+            assert mc_chi_sum_coefficient(graph) == expected, graph
+            try:
+                assert elementary_sum_coefficient(graph) == expected, graph
+            except PreconditionError:
+                pass
+            if is_sorted_ordered(graph):
+                assert permitted_sum_coefficient(graph) == expected, graph
+
+    def test_chi_sum_memory_is_one_block(self):
+        graph = g(4, (1, 1))  # 2^15 supergraphs, eight blocks
+        _chi_sum_raw(graph)  # numpy's first-use allocations stay out of the bound
+        tracemalloc.start()
+        try:
+            _chi_sum_raw(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block of every array; the 2^15 supergraphs at once need 8x that
+        assert peak < 1 << 20
+
+
+class TestFrobeniusKonig:
+    def test_star_of_every_mask_n4(self):
+        # K_{4,4}'s compact edge index is the edge mask itself.
+        rects = _rectangles(BipartiteGraph.complete(4))
+        star = _holds_rectangle(np.arange(1 << 16, dtype=np.int64), rects)
+        assert np.array_equal(star, star_table(4).astype(bool))
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_mobius_matches_subgraph_sum(self, n):
+        full = (1 << n) - 1
+        graphs = [
+            BipartiteGraph(n, (full,) + (0,) * (n - 1)),  # one full row
+            BipartiteGraph(n, (full, 1) + (0,) * (n - 2)),  # a full row and one more edge
+            BipartiteGraph(n, (1, 1, 1) + (0,) * (n - 4) + (0b1110,)),  # a short column and row
+            BipartiteGraph.from_mask(n, sum(1 << (i * n + i) for i in range(n))),  # diagonal
+        ]
+        rng = random.Random(n)
+        graphs += [BipartiteGraph.from_mask(n, sum(1 << b for b in rng.sample(range(n * n), 10)))
+                   for _ in range(4)]
+        values = []
+        for graph in graphs:
+            value = mobius_coefficient(graph)
+            assert value == subgraph_sign_sum(graph) == dual_coefficient(graph), graph
+            values.append(value)
+        assert any(values)
+
+    def test_no_rectangle_returns_zero_at_once(self):
+        diagonal = BipartiteGraph.from_mask(16, sum(1 << (i * 16 + i) for i in range(16)))
+        column = BipartiteGraph(26, (1,) * 25 + (0,))  # 2^25 row sets share its column
+        for graph in (diagonal, column):
+            start = time.perf_counter()
+            assert mobius_coefficient(graph) == 0
+            assert time.perf_counter() - start < 0.25
 
 
 class TestMatchingCoveredDiscrepancy:
