@@ -11,7 +11,8 @@ the root of this repository) holds every time, each side's median and
 quartiles per size, how many repeats the change won, both commits with a
 sha256 of their src/bpmdual/*.py, and the environment.  The run stops with
 an error if repeats of one side and size disagree on the degree or the
-certificate.
+certificate; where the two sides disagree, the size's `same_outcome` is
+false and a warning goes to stderr.
 """
 
 from __future__ import annotations
@@ -79,6 +80,11 @@ def measure(roots: dict[str, Path], sizes: list[int], repeats: int) -> tuple[lis
             seconds = [r["seconds"] for r in runs]
             result[side] = {"degree": degree, "certified": certified,
                             "seconds": [round(s, 3) for s in seconds], **_quartiles(seconds)}
+        result["same_outcome"] = all(
+            result["parent"][key] == result["change"][key] for key in ("degree", "certified"))
+        if not result["same_outcome"]:
+            print(f"warning: n={n}: parent and change report different outcomes; "
+                  "their times do not compare the same work", file=sys.stderr)
         result["change_wins"] = sum(
             1 for a, b in zip(samples["parent", n], samples["change", n])
             if b["seconds"] < a["seconds"])

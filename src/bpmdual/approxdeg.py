@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -35,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from ._errors import DomainError, NumericalFailure, SizeLimitError
-from .bigraph import BipartiteGraph, complement, has_perfect_matching
+from .bigraph import BipartiteGraph, all_graphs, complement, has_perfect_matching
 from .oracle import bpm_star_value
 from .polyspace import materialize
 
@@ -325,21 +324,26 @@ class _Scan:
 class _Exchange:
     """Single-point exchange minimizing V(X).
 
-    Next to the sorted node list it keeps float state that steers the
-    swaps: the nodes as float64 (`_xf`), the log of each term of V(X) and
-    the sum of log(m - x_j).  A swap updates it in O(d) vector work, and
-    every scan re-derives it from the enclosure of |D_i|.  No verdict rests
-    on it: verdicts come from `find_violations`, the engine's only route
-    to exact arithmetic, and a swap too close to call in logs asks the
-    enclosure of V.
+    The engine holds one state per node set: the sorted nodes as float64
+    (`_xf`; grid points are integers far below 2^53), the log of each term
+    of V(X), the sum of log(m - x_j), and the enclosure of |D_i| until a
+    swap changes the nodes.  A swap builds the next state as new arrays in
+    O(d) vector work and adopts it only when V falls, so nothing is ever
+    rolled back.  No verdict rests on the logs: verdicts come from
+    `find_violations`, the engine's only route to exact arithmetic, and a
+    swap too close to call in logs asks the enclosure of V.
     """
 
     def __init__(self, m: int, xs: Sequence[int]):
         self.m = m
-        self.xs = sorted(xs)
+        self._xf = np.array(sorted(xs), dtype=np.float64)
         self._interpolant: UnivariatePolynomial | None = None
-        self._xf = np.array(self.xs, dtype=np.float64)
         self._derive_logs()
+
+    @property
+    def xs(self) -> list[int]:
+        """The nodes as sorted Python ints."""
+        return self._xf.astype(np.int64).tolist()
 
     @property
     def interpolant(self) -> UnivariatePolynomial:
@@ -349,18 +353,17 @@ class _Exchange:
             self._interpolant = UnivariatePolynomial.alternating(self.m, self.xs)
         return self._interpolant
 
-    def _derive_logs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Recompute the float state from the node list; returns the
-        enclosure of |D_i| as mantissa and exponent."""
-        dm, de = _float_denominators(self._xf)
+    def _derive_logs(self) -> None:
+        """Derive the term logs and their log-sum afresh from the nodes, and
+        keep the enclosure of |D_i| (mantissa, exponent) for the scans of
+        this node set."""
+        dm, de = self._denominators = _float_denominators(self._xf)
         log_m = np.log(self.m - self._xf)
         self._log_m_sum = float(log_m.sum())
         self._term_logs = self._log_m_sum - log_m - (np.log(dm) + de * math.log(2.0))
-        return dm, de
 
     def logv(self) -> float:
-        peak = self._term_logs.max()
-        return float(peak + np.log(np.exp(self._term_logs - peak).sum()))
+        return _log_sum(self._term_logs)
 
     def find_violations(self, target: Fraction) -> _Scan:
         """Enclose q at every free grid point and V(X).
@@ -372,10 +375,11 @@ class _Exchange:
         (1 once every free point is proven within [-1, 1]).  Only when
         nothing is left to swap and V(X) straddles the target is V(X) = q(m)
         computed exactly."""
-        dm, de = self._derive_logs()
-        points = np.setdiff1d(np.arange(self.m, dtype=np.int64), self.xs, assume_unique=True)
-        ys = np.append(points, self.m).astype(np.float64)
-        s, err, e = _enclose(self._xf, dm, de, ys)
+        if self._denominators is None:  # a swap changed the nodes
+            self._derive_logs()
+        points = np.setdiff1d(np.arange(float(self.m)), self._xf, assume_unique=True)
+        ys = np.append(points, float(self.m))
+        s, err, e = _enclose(self._xf, *self._denominators, ys)
         lo, hi = _magnitude_bounds(s, err)
         v_lo, v_hi = _scaled_fraction(lo[-1], e[-1]), _scaled_fraction(hi[-1], e[-1])
         s, e, lo, hi = s[:-1], e[:-1], lo[:-1], hi[:-1]
@@ -407,14 +411,13 @@ class _Exchange:
             verdict = self.interpolant.evaluate(self.m) >= target
         return _Scan(violations, verdict)
 
-    def _replace(self, pos: int, y: int) -> None:
-        """Swap node at index pos for grid point y; float-only bookkeeping
-        in O(d) vector work."""
-        xr = self.xs.pop(pos)
-        ins = bisect_left(self.xs, y)
-        self.xs.insert(ins, y)
-        self._interpolant = None
-        xf, logs = self._xf, self._term_logs
+    def _replaced(self, pos: int, y: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """The state (nodes, term logs, log-sum) of the node set with the
+        node at index pos swapped for grid point y, built as new arrays in
+        O(d) vector work; the current state is left as it is."""
+        xf = self._xf
+        xr = xf[pos]
+        ins = int(np.searchsorted(xf, y) - (xr < y))  # y's slot once xr is out
         log_y = np.log(np.abs(xf - y))
         gap_r = np.abs(xf - xr)
         gap_r[pos] = 1.0
@@ -422,9 +425,9 @@ class _Exchange:
         log_m_r = math.log(self.m - xr)
         # every other term gains log(m - y) - log|x_j - y| and loses the
         # same for x_r; slot pos is overwritten by the new node's own term
-        logs += np.log(gap_r) - log_y + (log_m_y - log_m_r)
+        logs = self._term_logs + (np.log(gap_r) - log_y + (log_m_y - log_m_r))
         own = self._log_m_sum - log_m_r - (log_y.sum() - log_y[pos])
-        self._log_m_sum += log_m_y - log_m_r
+        xf = xf.copy()
         if ins > pos:
             logs[pos:ins] = logs[pos + 1 : ins + 1]
             xf[pos:ins] = xf[pos + 1 : ins + 1]
@@ -433,6 +436,13 @@ class _Exchange:
             xf[ins + 1 : pos + 1] = xf[ins:pos]
         logs[ins] = own
         xf[ins] = y
+        return xf, logs, self._log_m_sum + (log_m_y - log_m_r)
+
+    def _adopt(self, state: tuple[np.ndarray, np.ndarray, float]) -> None:
+        """Make a state from `_replaced` the current one."""
+        self._xf, self._term_logs, self._log_m_sum = state
+        self._denominators = None
+        self._interpolant = None
 
     def swap_toward(self, y: int, s: int) -> bool:
         """Exchange y (where sign(q(y)) = s) into the node set so that V
@@ -441,117 +451,103 @@ class _Exchange:
         Dropping the alternation neighbour whose sign matches s keeps the
         data alternating, and then V falls by (|q(y)| - 1) |L_y(m)| > 0, so
         for a fresh violation the drop always succeeds.  Returns False, with
-        the state restored, when V does not fall: a batch entry whose sign
+        the state unchanged, when V does not fall: a batch entry whose sign
         went stale.
         """
-        before_log = self.logv()
-        pos = bisect_left(self.xs, y)
-        d = len(self.xs) - 1
+        pos = int(np.searchsorted(self._xf, y))
+        d = len(self._xf) - 1
         if 0 < pos <= d:  # y lies between nodes pos - 1 and pos
             near, other = pos, pos - 1
         else:  # y lies past an end: the end node next to it, or the far one
             near, other = (0, d) if pos == 0 else (d, 0)
         drop = near if s == (1 if (d - near) % 2 == 0 else -1) else other
-        saved_xs = list(self.xs)
-        saved_logs = self._term_logs.copy()
-        saved_xf = self._xf.copy()
-        saved_log_m_sum = self._log_m_sum
-        self._replace(drop, y)
-        after_log = self.logv()
-        if after_log < before_log - _LOG_MARGIN:
-            return True
-        if after_log < before_log + _LOG_MARGIN and (
-            _value_bounds(self.m, self._xf)[1] < _value_bounds(self.m, saved_xf)[0]
+        state = self._replaced(drop, y)
+        xf, logs, _ = state
+        before_log, after_log = self.logv(), _log_sum(logs)
+        if after_log < before_log - _LOG_MARGIN or (
+            after_log < before_log + _LOG_MARGIN
+            and _value_bounds(self.m, xf)[1] < _value_bounds(self.m, self._xf)[0]
         ):
+            self._adopt(state)
             return True
-        self.xs[:] = saved_xs
-        self._interpolant = None
-        self._term_logs[:] = saved_logs
-        self._xf[:] = saved_xf
-        self._log_m_sum = saved_log_m_sum
         return False
 
     def exchange_batch(self, violations: list[tuple[int, int]]) -> bool:
         """Swap in the violations of one scan, skipping entries gone stale;
-        True if V went down."""
-        xs = self.xs
+        True if V went down.  No entry can be a node by then: a scan's
+        violations are distinct free points, and a swap brings in only its
+        own."""
         progressed = False
         for y, s in violations:
-            i = bisect_left(xs, y)
-            if (i == len(xs) or xs[i] != y) and self.swap_toward(y, s):
+            if self.swap_toward(y, s):
                 progressed = True
         return progressed
 
 
-class _Solver:
-    """Least feasible degree on one grid m for one target ratio.
+def _log_sum(logs: np.ndarray) -> float:
+    """log(sum(exp(logs))) without overflow."""
+    peak = logs.max()
+    return float(peak + np.log(np.exp(logs - peak).sum()))
 
-    A probe runs the exchange on one degree d only until a scan proves
-    its side of the target; no probe needs the optimum.  Every
-    estimate and every probe starts from the equilibrium seed of its
-    degree.  The search starts where the seeds' V(X) cross the target and
-    then walks one degree at a time on proven verdicts alone.
+
+def _probe(engine: _Exchange, target: Fraction) -> bool:
+    """Exchange on the engine's node set until a scan proves whether
+    nu*(d) reaches the target; the engine keeps the nodes that proved it.
+    No probe needs the optimum."""
+    d = len(engine.xs) - 1
+    for _ in range(_EXCHANGE_MAX_ITER):
+        scan = engine.find_violations(target)
+        if scan.verdict is not None:
+            return scan.verdict
+        if not engine.exchange_batch(scan.violations):
+            raise NumericalFailure(f"exchange stalled at m={engine.m}, d={d}")
+    raise NumericalFailure(f"exchange did not converge at m={engine.m}, d={d}")
+
+
+def _least_degree(m: int, target: Fraction) -> tuple[int, tuple[int, ...]]:
+    """Least feasible degree on the grid m for the target ratio, and the
+    node set that proved it feasible.
+
+    The search probes the degree where the equilibrium seeds' V(X) cross
+    the target, then walks down while probes stay feasible or up until one
+    is, on proven verdicts alone.  Every estimate and every probe starts
+    from the seed of its degree.
     """
+    log_target = _log2_fraction(target) * math.log(2.0)
+    # seeds built by the estimates, each probed at most once
+    seeds: dict[int, _Exchange] = {}
 
-    def __init__(self, m: int, target: Fraction):
-        self.m = m
-        self.target = target
-        self.log_target = _log2_fraction(target) * math.log(2.0)
+    def seed(d: int) -> _Exchange:
+        return _Exchange(m, _equilibrium_int_points(m - 1, d + 1))
 
-    def seed(self, d: int) -> _Exchange:
-        return _Exchange(self.m, _equilibrium_int_points(self.m - 1, d + 1))
+    def seed_estimate(d: int) -> float:
+        """The float estimate ln V(X) - ln target of ln nu*(d) - ln target
+        on the seed, no scan needed: V(X) bounds nu*(d) from above, and
+        the seed lies near the optimum."""
+        seeds[d] = seed(d)
+        return seeds[d].logv() - log_target
 
-    def probe(self, engine: _Exchange) -> bool:
-        """Exchange on the engine's node set until a scan proves whether
-        nu*(d) reaches the target; the engine keeps the nodes that proved
-        it."""
-        d = len(engine.xs) - 1
-        for _ in range(_EXCHANGE_MAX_ITER):
-            scan = engine.find_violations(self.target)
-            if scan.verdict is not None:
-                return scan.verdict
-            if not engine.exchange_batch(scan.violations):
-                raise NumericalFailure(f"exchange stalled at m={self.m}, d={d}")
-        raise NumericalFailure(f"exchange did not converge at m={self.m}, d={d}")
+    def fresh_seed(d: int) -> _Exchange:
+        engine = seeds.pop(d, None)
+        return seed(d) if engine is None else engine
 
-    def least_degree(self) -> tuple[int, tuple[int, ...]]:
-        """Probe the degree where the seed estimates cross the target, then
-        walk down while probes stay feasible or up until one is; returns
-        the degree and the node set that proved it feasible.  Every probe
-        starts from the seed of its degree.
-        """
-        # seeds built by the estimates, each probed at most once
-        seeds: dict[int, _Exchange] = {}
-
-        def seed_estimate(d: int) -> float:
-            """The float estimate ln V(X) - ln target of ln nu*(d) - ln
-            target on the seed, no scan needed: V(X) bounds nu*(d) from
-            above, and the seed lies near the optimum."""
-            seeds[d] = self.seed(d)
-            return seeds[d].logv() - self.log_target
-
-        def fresh_seed(d: int) -> _Exchange:
-            engine = seeds.pop(d, None)
-            return self.seed(d) if engine is None else engine
-
-        # ln nu*(0) = 0 and ln nu*(m - 1) = ln(2^m - 1): degree 0 is
-        # infeasible and degree m - 1 feasible, so both walks end in range
-        ends = (0, -self.log_target, self.m - 1, self.m * math.log(2.0) - self.log_target)
-        d = _least_crossing(seed_estimate, *ends)
-        engine = fresh_seed(d)
-        if self.probe(engine):
-            while d > 1:
-                below = fresh_seed(d - 1)
-                if not self.probe(below):
-                    break
-                d, engine = d - 1, below
-        else:
-            while True:
-                d += 1
-                engine = fresh_seed(d)
-                if self.probe(engine):
-                    break
-        return d, tuple(engine.xs)
+    # ln nu*(0) = 0 and ln nu*(m - 1) = ln(2^m - 1): degree 0 is
+    # infeasible and degree m - 1 feasible, so both walks end in range
+    d = _least_crossing(seed_estimate, 0, -log_target, m - 1, m * math.log(2.0) - log_target)
+    engine = fresh_seed(d)
+    if _probe(engine, target):
+        while d > 1:
+            below = fresh_seed(d - 1)
+            if not _probe(below, target):
+                break
+            d, engine = d - 1, below
+    else:
+        while True:
+            d += 1
+            engine = fresh_seed(d)
+            if _probe(engine, target):
+                break
+    return d, tuple(engine.xs)
 
 
 def _least_crossing(evaluate, lo: int, g_lo: float, hi: int, g_hi: float) -> int:
@@ -590,7 +586,7 @@ def _min_feasible_degree(m: int, target: Fraction) -> tuple[int, tuple[int, ...]
     """
     if Fraction((1 << m) - 1) < target:
         return m, ()  # even full alternation cannot reach the target
-    return _Solver(m, target).least_degree()
+    return _least_degree(m, target)
 
 
 def and_feasibility_target(eps: Fraction) -> Fraction:
@@ -774,8 +770,7 @@ class BpmStarApproximant:
 
     def _max_error(self, error) -> Fraction:
         """Largest error(x) over every graph on n + n vertices."""
-        graphs = (BipartiteGraph.from_mask(self.n, mask) for mask in range(1 << (self.n * self.n)))
-        return max(map(error, graphs))
+        return max(map(error, all_graphs(self.n)))
 
     def _certify(self) -> Fraction:
         worst = self._max_error(lambda x: abs(self.evaluate(x) - bpm_star_value(x)))

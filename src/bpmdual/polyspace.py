@@ -174,9 +174,7 @@ def evaluate(p: DualPolynomial, x: BipartiteGraph) -> int:
     return sum(c for mask, c in p.terms.items() if mask & ~xm == 0)
 
 
-def enumerate_sequences(
-    n: int, nonzero_only: bool = False
-) -> Iterator[RepresentingSequence]:
+def enumerate_sequences(n: int) -> Iterator[RepresentingSequence]:
     """Yield every representing sequence for side n, in lexicographic order
     of the flattened (d_1, k_1, d_2, k_2, ...) tuple."""
     if n > ENUMERATION_N_MAX:
@@ -190,9 +188,7 @@ def enumerate_sequences(
                 else:
                     yield from extend(prefix + [(d, k)], d, k)
 
-    for s in extend([], -1, 0):
-        if not nonzero_only or sequence_coefficient(s) != 0:
-            yield s
+    yield from extend([], -1, 0)
 
 
 def _multinomial(n: int, parts: list[int]) -> int:

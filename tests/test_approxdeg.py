@@ -193,6 +193,24 @@ class TestMinAndApproxDegree:
         finally:
             _min_feasible_degree.cache_clear()
 
+    def test_degrees_with_every_swap_decided_by_the_enclosure(self, monkeypatch):
+        # a log margin of 1e3 sends every swap decision through the
+        # enclosure of V (and widens the regula falsi's clamps); the
+        # degrees must not change
+        queries = [(m, eps) for m in range(2, 65) for eps in (THIRD, Fraction(1, 1000))]
+        expected = [min_and_approx_degree(m, eps) for m, eps in queries]
+        bounds_calls = []
+        value_bounds = approxdeg._value_bounds
+        monkeypatch.setattr(approxdeg, "_LOG_MARGIN", 1e3)
+        monkeypatch.setattr(approxdeg, "_value_bounds",
+                            lambda m, xf: bounds_calls.append(1) or value_bounds(m, xf))
+        _min_feasible_degree.cache_clear()
+        try:
+            assert [min_and_approx_degree(m, eps) for m, eps in queries] == expected
+        finally:
+            _min_feasible_degree.cache_clear()
+        assert bounds_calls
+
     def test_out_of_regime_warns(self):
         with pytest.warns(UserWarning):
             min_and_approx_degree(4, Fraction(1, 10**9))
@@ -266,7 +284,7 @@ class TestExchangeBookkeeping:
         engine = _Exchange(m, rng.sample(range(m), d + 1))
         for _ in range(2000):
             free = sorted(set(range(m)) - set(engine.xs))
-            engine._replace(rng.randrange(d + 1), rng.choice(free))
+            engine._adopt(engine._replaced(rng.randrange(d + 1), rng.choice(free)))
         assert engine.xs == sorted(set(engine.xs)) and len(engine.xs) == d + 1
         assert np.array_equal(engine._xf, np.array(engine.xs, dtype=np.float64))
         fresh = _Exchange(m, engine.xs)
@@ -286,6 +304,37 @@ class TestExchangeBookkeeping:
                 assert np.array_equal(logs, before[1])
                 assert np.array_equal(xf, before[2])
                 assert log_m_sum == before[3]
+
+    def test_near_tie_rejects_at_optimum(self, monkeypatch):
+        # with a log margin of 1e3 every swap is decided by the enclosure
+        # of V: the exchange must still reach the optimum, and there reject
+        # every swap with the state untouched
+        bounds_calls = []
+        value_bounds = approxdeg._value_bounds
+        monkeypatch.setattr(approxdeg, "_LOG_MARGIN", 1e3)
+        monkeypatch.setattr(approxdeg, "_value_bounds",
+                            lambda m, xf: bounds_calls.append(1) or value_bounds(m, xf))
+        self.test_failed_swap_restores_state()
+        assert len(bounds_calls) >= 2 * 2 * (64 - 11)  # two per rejected swap
+
+    def test_denominators_derived_once_per_node_set(self, monkeypatch):
+        calls = []
+        float_denominators = approxdeg._float_denominators
+        monkeypatch.setattr(approxdeg, "_float_denominators",
+                            lambda xf: calls.append(1) or float_denominators(xf))
+        engine = _Exchange(64, range(0, 64, 6))  # equispaced: q overshoots
+        assert len(calls) == 1
+        violations = engine.find_violations(Fraction(2)).violations
+        assert violations and len(calls) == 1  # the scan reuses what __init__ built
+        assert engine.swap_toward(*violations[0]) and len(calls) == 1
+        engine.find_violations(Fraction(2))
+        assert len(calls) == 2  # the swap changed the nodes
+        optimum = exchange_to_optimum(64, 10)
+        calls.clear()
+        free = min(set(range(64)) - set(optimum.xs))
+        assert not optimum.swap_toward(free, 1) and not optimum.swap_toward(free, -1)
+        optimum.find_violations(Fraction(2))
+        assert not calls
 
     def test_matching_neighbour_lowers_v(self):
         # swap_toward drops only the neighbour whose sign matches: for every

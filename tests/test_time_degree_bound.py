@@ -38,7 +38,8 @@ def test_sides_alternate_repeat_by_repeat(tmp_path, capsys):
     assert load_script().main(["--parent", str(tmp_path / "parent"), "--change",
                                str(tmp_path / "change"), "--n", "2", "3", "--repeats", "2",
                                "--out", str(out)]) == 0
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert "warning: n=2:" in err and "warning: n=3:" in err
     order = (tmp_path / "order.log").read_text().splitlines()
     assert order == ["parent 2", "change 2", "parent 3", "change 3",
                      "change 2", "parent 2", "change 3", "parent 3"]
@@ -54,6 +55,7 @@ def test_sides_alternate_repeat_by_repeat(tmp_path, capsys):
     assert [r["n"] for r in results] == [2, 3]
     for r in results:
         assert r["parent"]["degree"] == r["n"] ** 2 and r["change"]["degree"] == r["n"] ** 2 + 1
+        assert r["same_outcome"] is False
         assert 0 <= r["change_wins"] <= 2
 
 
@@ -61,10 +63,11 @@ def test_run_of_this_checkout(tmp_path, capsys):
     out = tmp_path / "bench.json"
     assert load_script().main(["--parent", str(ROOT), "--change", str(ROOT), "--n", "2",
                                "--repeats", "2", "--out", str(out)]) == 0
-    capsys.readouterr()
+    assert "warning" not in capsys.readouterr().err
     record = json.loads(out.read_text())
     assert record["commits"]["parent"] == record["commits"]["change"]
     (result,) = record["results"]
+    assert result["same_outcome"] is True
     for side in ("parent", "change"):
         r = result[side]
         assert r["degree"] > 0 and r["certified"] is True
