@@ -1,17 +1,28 @@
-"""A/B timing of one benchmark workload between two checkouts.
+"""A/B timing of one benchmark workload, or one CLI call, between two checkouts.
 
     python3 scripts/time_workload.py --workload exact --parent ../parent --change . --pairs 10
+    python3 scripts/time_workload.py --cli "apxdeg --n 64 --eps 1/3" --parent ../parent --change .
 
-Each pair runs `perfbench/run.py` of both checkouts, each from its own root
-and with the same seed, one after the other; the side that goes first
-alternates from pair to pair so that slow drift of a shared machine falls on
-both. Pair k uses seed --seed + k, and every run lasts the run_seconds of
-the changed checkout's BENCHMARK.json (--tiny: one pass of the smallest
-inputs, for the tests). Only the last line of run.py's stdout is read: the JSON object with its end-to-end metrics. The record written to
---out (default BENCH_<workload>.json at the root of this repository) holds
-every pair's metrics, each side's median and quartiles, how many pairs the
-change won on each metric, both commits with a sha256 of their
-src/bpmdual/*.py, and the environment.
+Each pair runs both checkouts, each from its own root, one after the other;
+the side that goes first alternates from pair to pair so that slow drift of
+a shared machine falls on both.
+
+--workload W runs `perfbench/run.py --workload W` with seed --seed + k in
+pair k, every run lasting the run_seconds of the changed checkout's
+BENCHMARK.json (--tiny: one pass of the smallest inputs, for the tests).
+--cli ARGS starts a fresh interpreter with the checkout's src on PYTHONPATH
+that imports `bpmdual.cli` and `bpmdual.approxdeg` (the modules perfbench's
+setup_s imports) and then times one `bpmdual.cli.run(ARGS)` with its stdout
+captured, so imports are excluded. The run stops with an error if one
+side's runs print different stdout; where the two sides differ,
+`same_outcome` is false and a warning goes to stderr.
+
+Only the last line of a run's stdout is read: the JSON object with its
+end-to-end metrics. The record written to --out (default BENCH_<workload>.json,
+or BENCH_cli_<args>.json, at the root of this repository) holds every
+pair's metrics, each side's median and quartiles, how many pairs the change
+won on each metric, both commits with a sha256 of their src/bpmdual/*.py,
+and the environment.
 """
 
 from __future__ import annotations
@@ -21,6 +32,8 @@ import hashlib
 import json
 import os
 import platform
+import re
+import shlex
 import statistics
 import subprocess
 import sys
@@ -29,6 +42,22 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+
+# The line perfbench/run.py ends with, for one timed CLI call, plus the
+# captured stdout and its sha256.
+CLI_CHILD = """
+import contextlib, hashlib, io, json, sys, time
+import bpmdual.cli, bpmdual.approxdeg
+out = io.StringIO()
+start = time.perf_counter()
+with contextlib.redirect_stdout(out):
+    code = bpmdual.cli.run(sys.argv[1:])
+wall = time.perf_counter() - start
+text = out.getvalue()
+print(json.dumps({"correct": code == 0, "attempted": 1, "failed": int(code != 0),
+                  "metrics": {"wall_s": {"value": wall, "unit": "s"}},
+                  "stdout": text, "stdout_sha256": hashlib.sha256(text.encode()).hexdigest()}))
+"""
 
 
 def _git(root: Path, *args: str) -> str | None:
@@ -55,16 +84,13 @@ def _spec(root: Path) -> dict:
         return {}
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float, tiny: bool) -> dict:
-    argv = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds)]
-    if tiny:
-        argv.append("--tiny")
-    out = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True)
+def run_once(root: Path, argv: list[str]) -> dict:
+    """One run of argv (after the interpreter) from root: its last stdout line."""
+    out = subprocess.run([sys.executable, *argv], cwd=root, capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=str(root / "src")))
     result = json.loads(out.stdout.splitlines()[-1])
-    return {"correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"],
-            "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+    result["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
+    return result
 
 
 def summarize(pairs: list[dict], directions: dict[str, str]) -> dict:
@@ -91,48 +117,92 @@ def summarize(pairs: list[dict], directions: dict[str, str]) -> dict:
     return summary
 
 
+def _cli_outcome(pairs: list[dict]) -> dict:
+    """Each side's one stdout, and whether the sides agree; exits with an
+    error if one side's runs disagree."""
+    stdout = {}
+    for side in SIDES:
+        texts = {p[side].pop("stdout") for p in pairs}
+        if len(texts) != 1:
+            raise SystemExit(f"error: the {side} runs printed {len(texts)} different outputs")
+        stdout[side], = texts
+    same = stdout["parent"] == stdout["change"]
+    if not same:
+        print("warning: parent and change print different output; "
+              "their times do not compare the same work", file=sys.stderr)
+    return {"same_outcome": same, "stdout": stdout}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True)
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--workload", help="a perfbench workload")
+    mode.add_argument("--cli", help='one bpmdual CLI call, e.g. "apxdeg --n 64 --eps 1/3"')
     parser.add_argument("--parent", type=Path, required=True, help="root of the parent checkout")
     parser.add_argument("--change", type=Path, required=True, help="root of the changed checkout")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=100, help="seed of the first pair")
+    parser.add_argument("--seed", type=int, help="seed of the first pair (default 100)")
     parser.add_argument("--tiny", action="store_true",
                         help="run.py --tiny --seconds 0, for the tests")
-    parser.add_argument("--out", type=Path, help="default: BENCH_<workload>.json here")
+    parser.add_argument("--out", type=Path,
+                        help="default: BENCH_<workload>.json or BENCH_cli_<args>.json here")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.cli is not None and (args.seed is not None or args.tiny):
+        parser.error("--seed and --tiny apply to --workload only")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    needs = "perfbench/run.py" if args.cli is None else "src/bpmdual/cli.py"
     for side, root in roots.items():
-        if not (root / "perfbench" / "run.py").is_file():
-            parser.error(f"--{side} {root} has no perfbench/run.py")
-    spec = _spec(roots["change"])
-    if args.tiny:
-        seconds = 0
-    elif "run_seconds" in spec:
-        seconds = spec["run_seconds"]
+        if not (root / needs).is_file():
+            parser.error(f"--{side} {root} has no {needs}")
+
+    if args.cli is None:
+        spec = _spec(roots["change"])
+        if args.tiny:
+            seconds = 0
+        elif "run_seconds" in spec:
+            seconds = spec["run_seconds"]
+        else:
+            parser.error(f"--change {roots['change']} has no BENCHMARK.json with run_seconds")
+        seed = 100 if args.seed is None else args.seed
+        what = (f"perfbench/run.py --workload {args.workload} --seconds {seconds:g}"
+                f"{' --tiny' if args.tiny else ''}")
+        directions = {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
+        subject, label = {"workload": args.workload}, args.workload
+
+        def command(k: int) -> list[str]:
+            return (["perfbench/run.py", "--workload", args.workload, "--seed", str(seed + k),
+                     "--seconds", str(seconds)] + (["--tiny"] if args.tiny else []))
     else:
-        parser.error(f"--change {roots['change']} has no BENCHMARK.json with run_seconds")
-    out_path = args.out or ROOT / f"BENCH_{args.workload}.json"
+        cli_args = shlex.split(args.cli)
+        what = f"bpmdual.cli.run({cli_args}) in a fresh interpreter, imports excluded"
+        directions = {"wall_s": "lower"}
+        subject = {"cli": cli_args}
+        label = "cli_" + "_".join(re.findall(r"[A-Za-z0-9.]+", args.cli))
+
+        def command(k: int) -> list[str]:
+            return ["-c", CLI_CHILD, *cli_args]
+    out_path = args.out or ROOT / f"BENCH_{label}.json"
 
     pairs = []
     for k in range(args.pairs):
-        seed = args.seed + k
         order = SIDES if k % 2 == 0 else SIDES[::-1]
-        pair = {"pair": k, "seed": seed, "first": order[0]}
+        pair = {"pair": k, "first": order[0]}
+        if args.cli is None:
+            pair["seed"] = seed + k
         for side in order:
-            pair[side] = run_once(roots[side], args.workload, seed, seconds, args.tiny)
+            pair[side] = run_once(roots[side], command(k))
         pairs.append(pair)
-        print(f"pair {k} (seed {seed}, {order[0]} first): "
+        print(f"pair {k} ({order[0]} first): "
               + ", ".join(f"{side} wall_s {pair[side]['metrics'].get('wall_s', float('nan')):.3f}"
                           for side in SIDES), file=sys.stderr)
+    if args.cli is not None:
+        subject.update(_cli_outcome(pairs))
 
     record = {
-        "what": f"perfbench/run.py --workload {args.workload} --seconds {seconds:g}"
-                f"{' --tiny' if args.tiny else ''}, parent and change alternating in {args.pairs} pairs",
-        "workload": args.workload,
+        "what": f"{what}, parent and change alternating in {args.pairs} pairs",
+        **subject,
         "commits": {side: {"commit": _git(root, "rev-parse", "HEAD"),
                            "modified": bool(_git(root, "status", "--porcelain", "--",
                                                  "src", "perfbench")),
@@ -144,8 +214,7 @@ def main(argv=None) -> int:
             "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()}",
         },
         "all_correct": all(p[side]["correct"] for p in pairs for side in SIDES),
-        "summary": summarize(pairs, {m["name"]: m["better"]
-                                     for m in spec.get("end_to_end", [])}),
+        "summary": summarize(pairs, directions),
         "pairs": pairs,
     }
     out_path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")

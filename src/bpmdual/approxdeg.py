@@ -302,9 +302,12 @@ def _scaled_fraction(x: float, e: int) -> Fraction:
     return Fraction(float(x)) * Fraction(2) ** int(e)
 
 
-def _value_bounds(m: int, xf: np.ndarray) -> tuple[Fraction, Fraction]:
-    """Proven lower and upper bounds on V(X) for the nodes xf."""
-    s, err, e = _enclose(xf, *_float_denominators(xf), np.array([float(m)]))
+def _value_bounds(
+    m: int, xf: np.ndarray, denominators: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[Fraction, Fraction]:
+    """Proven lower and upper bounds on V(X) for the nodes xf, whose
+    `_float_denominators` are built unless given."""
+    s, err, e = _enclose(xf, *(denominators or _float_denominators(xf)), np.array([float(m)]))
     lo, hi = _magnitude_bounds(s, err)
     return _scaled_fraction(lo[0], e[0]), _scaled_fraction(hi[0], e[0])
 
@@ -466,7 +469,8 @@ class _Exchange:
         before_log, after_log = self.logv(), _log_sum(logs)
         if after_log < before_log - _LOG_MARGIN or (
             after_log < before_log + _LOG_MARGIN
-            and _value_bounds(self.m, xf)[1] < _value_bounds(self.m, self._xf)[0]
+            and _value_bounds(self.m, xf)[1]
+            < _value_bounds(self.m, self._xf, self._denominators)[0]
         ):
             self._adopt(state)
             return True
@@ -494,7 +498,7 @@ def _probe(engine: _Exchange, target: Fraction) -> bool:
     """Exchange on the engine's node set until a scan proves whether
     nu*(d) reaches the target; the engine keeps the nodes that proved it.
     No probe needs the optimum."""
-    d = len(engine.xs) - 1
+    d = len(engine._xf) - 1
     for _ in range(_EXCHANGE_MAX_ITER):
         scan = engine.find_violations(target)
         if scan.verdict is not None:
@@ -634,12 +638,19 @@ def build_and_approximant(m: int, eps) -> UnivariatePolynomial:
         scale = eps / grid_max if q[m] / grid_max <= (1 + eps) / eps else 1 / q[m]
         poly = UnivariatePolynomial(m, nodes, tuple(scale * s for s in alternating.values))
         values = [scale * v for v in q]
+    _check_witness(values, eps)
+    return poly
+
+
+def _check_witness(values: Sequence[Fraction], eps: Fraction) -> None:
+    """Raise NumericalFailure unless |p(k)| <= eps for k < m and
+    |p(m) - 1| <= eps, for values = p(0), ..., p(m); exact, no slack."""
+    m = len(values) - 1
     for k in range(m):
         if abs(values[k]) > eps:
             raise NumericalFailure(f"witness violates |p({k})| <= eps")
     if abs(values[m] - 1) > eps:
         raise NumericalFailure("witness violates |p(m) - 1| <= eps")
-    return poly
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,6 @@ from fractions import Fraction
 from ._errors import BpmDualError, SizeLimitError
 from .bigraph import BipartiteGraph, parse_graph
 from .coeff import dual_coefficient
-from .oracle import (
-    elementary_sum_coefficient,
-    mc_chi_sum_coefficient,
-    mobius_coefficient,
-    mobius_transform,
-    permitted_sum_coefficient,
-    star_table,
-    zeta_transform,
-)
 from .ordered import canonical_sort, is_totally_ordered
 from .polyspace import DualPolynomial, bound_report, evaluate, materialize, tsv_side_size
 from .sensitivity import construct_path_input, sensitivity_at
@@ -67,19 +58,20 @@ def _cmd_coeff(args) -> int:
     g = _read_graph(args.graph)
     method = args.method
     if method == "formula":
-        value = dual_coefficient(g)
-    elif method == "mobius":
-        value = mobius_coefficient(g)
+        print(dual_coefficient(g))
+        return 0
+    from . import oracle  # numpy: loaded only by the oracle methods
+
+    if method == "mobius":
+        value = oracle.mobius_coefficient(g)
     elif method == "chisum":
-        value = mc_chi_sum_coefficient(g)
+        value = oracle.mc_chi_sum_coefficient(g)
     elif method == "elemsum":
-        value = elementary_sum_coefficient(g)
-    else:  # permitted
-        if not is_totally_ordered(g):
-            # not totally ordered: the coefficient is identically zero
-            print(0)
-            return 0
-        value = permitted_sum_coefficient(canonical_sort(g)[0])
+        value = oracle.elementary_sum_coefficient(g)
+    elif is_totally_ordered(g):  # permitted
+        value = oracle.permitted_sum_coefficient(canonical_sort(g)[0])
+    else:  # not totally ordered: the coefficient is identically zero
+        value = 0
     print(value)
     return 0
 
@@ -99,6 +91,8 @@ def _cmd_poly(args) -> int:
 
 def _cmd_verify(args) -> int:
     import numpy as np
+
+    from .oracle import mobius_transform, star_table, zeta_transform
 
     n = args.n
     star = star_table(n, huge=args.huge)

@@ -10,15 +10,14 @@ against these exhaustively at small n.
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
+
+import numpy as np
 
 from ._errors import EmptyGraphError, PreconditionError, SizeLimitError
 from .bigraph import BipartiteGraph, _components, complement, has_perfect_matching
 from .ordered import permitted_edges, representing_sequence
 from .polyspace import DualPolynomial
-
-if TYPE_CHECKING:  # numpy is imported only by the functions that build arrays
-    import numpy as np
 
 MOBIUS_EDGE_MAX = 25
 SUPERGRAPH_N_MAX = 4
@@ -45,8 +44,6 @@ def _doubling(bits: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """(masks, signs): every OR of a subset of the single-bit masks in bits,
     with sign (-1)^(size of the subset).  Each bit appends (masks | bit,
     -signs) to what is there, so the signs need no popcount."""
-    import numpy as np
-
     masks = np.zeros(1, dtype=np.int64)
     signs = np.ones(1, dtype=np.int64)
     for bit in bits:
@@ -103,8 +100,6 @@ def _rectangles(g: BipartiteGraph) -> list[int]:
 
 def _holds_rectangle(subs: np.ndarray, rects: list[int]) -> np.ndarray:
     """Per compact mask in subs (a block of _signed_walk): does it contain one of rects?"""
-    import numpy as np
-
     top = int(subs[-1])  # the last mask of a block holds every bit of the block
     star = np.zeros(len(subs), dtype=bool)
     for r in rects:
@@ -139,8 +134,6 @@ def _covered_components(n: int, perms: list[int], h: np.ndarray) -> np.ndarray:
     so its components are the classes of rows that share a column, closed
     by Warshall's algorithm over the n row masks.
     """
-    import numpy as np
-
     union = np.zeros_like(h)
     for p in perms:
         union |= np.where((h & p) == p, p, 0)
@@ -241,8 +234,6 @@ def star_table(n: int, huge: bool = False) -> np.ndarray:
     Built as the OR superset closure of the n! permutation masks, so the table
     is independent of the per-graph matching code.
     """
-    import numpy as np
-
     cap = TABLE_N_MAX_HUGE if huge else TABLE_N_MAX
     if n > cap:
         raise SizeLimitError("n", n, cap)
@@ -269,8 +260,6 @@ def _lattice_sweep(a: np.ndarray, bits: int, op) -> np.ndarray:
     remaining bits are swept in place while it is still cached, and only the
     bits above a block touch the whole array.
     """
-    import numpy as np
-
     low = min(bits, _LOW_BITS)
     rows = a.reshape(-1, 1 << low)
     count = min(len(rows), _BLOCK_ROWS)
@@ -298,22 +287,16 @@ def mobius_transform(values: np.ndarray, bits: int) -> np.ndarray:
     """Subset-lattice inversion in at least int32, exact for 0/1 input: after b
     sweeps an entry is a signed sum of at most 2^b inputs, so |entry| <= 2^25 <
     2^31 up to n = TABLE_N_MAX_HUGE; int64 input stays int64."""
-    import numpy as np
-
     return _lattice_sweep(values.astype(np.result_type(values.dtype, np.int32)), bits, np.subtract)
 
 
 def zeta_transform(values: np.ndarray, bits: int) -> np.ndarray:
     """Subset sums: the inverse of the Mobius transform."""
-    import numpy as np
-
     return _lattice_sweep(values.copy(), bits, np.add)
 
 
 def coefficient_table(n: int, huge: bool = False) -> DualPolynomial:
     """Complete exact coefficient table of BPM*_n via the fast transform."""
-    import numpy as np
-
     coeffs = mobius_transform(star_table(n, huge), n * n)
     nz = np.nonzero(coeffs)[0]
     return DualPolynomial(n, dict(zip(nz.tolist(), coeffs[nz].tolist())))

@@ -52,13 +52,21 @@ class RepresentingSequence:
             return 0
         return self.pairs[i - 1][1]
 
+    def run_sizes(self) -> tuple[list[int], list[int]]:
+        """(row band sizes k_i - k_{i-1}, column group sizes d_1, d_2 - d_1,
+        ..., n - d_t): row band i holds the rows of degree d_i, column group
+        i the columns that band i is the first to see, and no band sees the
+        last group."""
+        ds = [d for d, _ in self.pairs]
+        ks = [0] + [k for _, k in self.pairs]
+        return ([b - a for a, b in zip(ks, ks[1:])],
+                [b - a for a, b in zip([0] + ds, ds + [self.n])])
+
     def decode(self) -> BipartiteGraph:
         """The sorted ordered graph this sequence describes."""
         rows: list[int] = []
-        prev_k = 0
-        for d, k in self.pairs:
-            rows.extend([(1 << d) - 1] * (k - prev_k))
-            prev_k = k
+        for (d, _), size in zip(self.pairs, self.run_sizes()[0]):
+            rows.extend([(1 << d) - 1] * size)
         return BipartiteGraph(self.n, tuple(rows))
 
     def __str__(self) -> str:

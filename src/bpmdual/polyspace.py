@@ -201,10 +201,8 @@ def _multinomial(n: int, parts: list[int]) -> int:
 def labeled_count(s: RepresentingSequence) -> int:
     """Number of labeled graphs obtainable from the decoded sorted graph by
     relabeling each bipartition separately."""
-    n = s.n
-    row_runs = [s.k(i) - s.k(i - 1) for i in range(1, s.t + 1)]
-    col_runs = [s.d(1)] + [s.d(i + 1) - s.d(i) for i in range(1, s.t + 1)]
-    return _multinomial(n, row_runs) * _multinomial(n, col_runs)
+    row_sizes, col_sizes = s.run_sizes()
+    return _multinomial(s.n, row_sizes) * _multinomial(s.n, col_sizes)
 
 
 def _sequence_dp(n: int) -> tuple[int, int]:
@@ -299,10 +297,7 @@ def materialize(n: int) -> DualPolynomial:
         c = sequence_coefficient(s)
         if not c:
             continue
-        ds = [d for d, _ in s.pairs]
-        ks = [0] + [k for _, k in s.pairs]
-        row_sizes = [b - a for a, b in zip(ks, ks[1:])]
-        col_sizes = [b - a for a, b in zip([0] + ds, ds + [n])]
+        row_sizes, col_sizes = s.run_sizes()
         # bands[b] has bit i*n for each row i of band b, so seen * bands[b]
         # copies the columns band b sees into each of its rows.
         bands_list = list(_splits(row_bits, row_sizes))
@@ -324,7 +319,6 @@ class BoundReport:
     max_abs_coefficient: int
     coeff_upper: int  # 2^(2n)
     coeff_lower: int  # binomial(n-1, floor(n/2)), the half biclique
-    method: str = "transfer-matrix"
 
     @property
     def count_in_bounds(self) -> bool:

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 from bpmdual import approxdeg
-from bpmdual._errors import DomainError, SizeLimitError
+from bpmdual._errors import DomainError, NumericalFailure, SizeLimitError
 from bpmdual.approxdeg import (
     BpmStarApproximant,
     DegreeBoundReport,
     UnivariatePolynomial,
     _Exchange,
     _abs_denominators,
+    _check_witness,
     _enclose,
     _equilibrium_int_points,
     _equilibrium_mass,
@@ -203,7 +204,7 @@ class TestMinAndApproxDegree:
         value_bounds = approxdeg._value_bounds
         monkeypatch.setattr(approxdeg, "_LOG_MARGIN", 1e3)
         monkeypatch.setattr(approxdeg, "_value_bounds",
-                            lambda m, xf: bounds_calls.append(1) or value_bounds(m, xf))
+                            lambda *args: bounds_calls.append(1) or value_bounds(*args))
         _min_feasible_degree.cache_clear()
         try:
             assert [min_and_approx_degree(m, eps) for m, eps in queries] == expected
@@ -313,9 +314,24 @@ class TestExchangeBookkeeping:
         value_bounds = approxdeg._value_bounds
         monkeypatch.setattr(approxdeg, "_LOG_MARGIN", 1e3)
         monkeypatch.setattr(approxdeg, "_value_bounds",
-                            lambda m, xf: bounds_calls.append(1) or value_bounds(m, xf))
+                            lambda *args: bounds_calls.append(1) or value_bounds(*args))
         self.test_failed_swap_restores_state()
         assert len(bounds_calls) >= 2 * 2 * (64 - 11)  # two per rejected swap
+
+    def test_near_tie_reuses_held_denominators(self, monkeypatch):
+        # at the optimum every near-tie swap builds |D_i| for the candidate
+        # set only: the current set's are held from the last scan
+        monkeypatch.setattr(approxdeg, "_LOG_MARGIN", 1e3)
+        engine = exchange_to_optimum(64, 10)
+        assert engine._denominators is not None
+        calls = []
+        float_denominators = approxdeg._float_denominators
+        monkeypatch.setattr(approxdeg, "_float_denominators",
+                            lambda xf: calls.append(1) or float_denominators(xf))
+        for y in sorted(set(range(64)) - set(engine.xs)):
+            for s in (1, -1):
+                assert not engine.swap_toward(y, s)
+        assert len(calls) == 2 * (64 - 11) == 106
 
     def test_denominators_derived_once_per_node_set(self, monkeypatch):
         calls = []
@@ -498,6 +514,19 @@ class TestEnclosure:
         scan = engine.find_violations(Fraction(5))
         assert scan.violations == [] and scan.verdict is True
 
+    def test_feasible_verdict_needs_the_lower_bound(self):
+        # at the optimum max_q = 1 and V(X) is exact; a target 2^-60 above
+        # it lies inside the enclosure of V, so only its lower bound may
+        # prove feasibility, and the exact V then refutes it
+        engine = exchange_to_optimum(64, 10)
+        v = engine.interpolant.evaluate(64)
+        target = v * (1 + Fraction(1, 2**60))
+        (lo, hi, _), = self.enclosures(engine.xs, [64])
+        assert lo < v < target < hi
+        scan = engine.find_violations(target)
+        assert scan.violations == [] and scan.verdict is False
+        assert engine.find_violations(v).verdict is True
+
 
 class TestBuildAndApproximant:
     def test_m1_is_identity(self):
@@ -538,6 +567,27 @@ class TestBuildAndApproximant:
         for k in range(m):
             assert abs(poly.evaluate(k)) <= eps
         assert abs(poly.evaluate(m) - 1) <= eps
+
+
+class TestCheckWitness:
+    EPS = Fraction(1, 3)
+
+    def test_values_at_eps_pass(self):
+        _check_witness([self.EPS, -self.EPS, 1 - self.EPS], self.EPS)
+        _check_witness([Fraction(0), 1 + self.EPS], self.EPS)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_grid_value_just_above_eps_raises(self, k):
+        values = [Fraction(0), Fraction(0), Fraction(1)]
+        values[k] = -self.EPS * (1 + Fraction(1, 2**100))
+        with pytest.raises(NumericalFailure, match=f"p\\({k}\\)"):
+            _check_witness(values, self.EPS)
+
+    def test_value_at_m_just_off_raises(self):
+        over = self.EPS * (1 + Fraction(1, 2**100))
+        for top in (1 + over, 1 - over):
+            with pytest.raises(NumericalFailure, match="p\\(m\\)"):
+                _check_witness([Fraction(0), top], self.EPS)
 
 
 class TestDualize:

@@ -160,6 +160,10 @@ class TestRepresentingSequence:
         assert _run_lengths(degrees) == pairs
         assert _run_lengths(iter(degrees)) == pairs
 
+    def test_run_sizes(self):
+        assert seq(6, (0, 2), (2, 5), (5, 6)).run_sizes() == ([2, 3, 1], [0, 2, 3, 1])
+        assert seq(3, (3, 3)).run_sizes() == ([3], [3, 0])
+
     def test_text_form_round_trip(self):
         s = seq(8, (2, 2), (5, 5), (8, 8))
         assert str(s) == "8; (2,2)(5,5)(8,8)"

@@ -268,4 +268,3 @@ class TestBoundReport:
         assert report.max_abs_coefficient == 1
         assert report.count_in_bounds
         assert report.coeff_in_bounds
-        assert report.method == "transfer-matrix"

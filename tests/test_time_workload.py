@@ -1,8 +1,11 @@
-"""The A/B script that records BENCH_<workload>.json."""
+"""The A/B script that records BENCH_<workload>.json and BENCH_cli_<args>.json."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "time_workload.py"
@@ -24,12 +27,42 @@ print(json.dumps({"correct": True, "attempted": 2, "failed": 0,
                               "hits": {"value": 1, "unit": "count"}}}))
 """
 
+# A stand-in for bpmdual.cli: logs its side, then prints the side for the
+# argv ["side"] and otherwise how many runs both sides have made so far.
+FAKE_CLI = """
+from pathlib import Path
+root = Path(__file__).resolve().parents[2]
+def run(argv):
+    log = root.parent / "order.log"
+    with open(log, "a") as fh:
+        fh.write(root.name + "\\n")
+    print(root.name if argv == ["side"] else len(log.read_text().split()))
+    return 0
+"""
+
 
 def load_script():
     spec = importlib.util.spec_from_file_location("time_workload", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def fake_packages(tmp_path):
+    for side in ("parent", "change"):
+        package = tmp_path / side / "src" / "bpmdual"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "approxdeg.py").write_text("")
+        (package / "cli.py").write_text(FAKE_CLI + f"# {side}\n")
+    return ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]
+
+
+def check_summary(record, pairs):
+    for name, entry in record["summary"].items():
+        assert entry["better"] == "lower" and 0 <= entry["change_wins"] <= pairs, name
+        for side in ("parent", "change"):
+            assert entry[side]["q1"] <= entry[side]["median"] <= entry[side]["q3"], name
 
 
 def test_sides_alternate_and_only_the_last_line_counts(tmp_path, capsys):
@@ -68,8 +101,68 @@ def test_tiny_run_of_this_checkout(tmp_path, capsys):
     for side in ("parent", "change"):
         assert pair[side]["failed"] == 0
         assert set(pair[side]["metrics"]) == {"wall_s", "cpu_s", "setup_s", "peak_rss_mb"}
-    for name, entry in record["summary"].items():
-        assert entry["better"] == "lower" and 0 <= entry["change_wins"] <= 1, name
-        assert entry["change"]["q1"] <= entry["change"]["median"] <= entry["change"]["q3"]
+    check_summary(record, 1)
     assert record["commits"]["parent"] == record["commits"]["change"]
     assert len(record["commits"]["change"]["src_sha256"]) == 64
+
+
+def test_cli_sides_alternate_and_report_different_output(tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    assert load_script().main(["--cli", "side", *fake_packages(tmp_path), "--pairs", "3",
+                               "--out", str(out)]) == 0
+    assert "warning: parent and change print different output" in capsys.readouterr().err
+    order = (tmp_path / "order.log").read_text().split()
+    assert order == ["parent", "change", "change", "parent", "parent", "change"]
+    record = json.loads(out.read_text())
+    assert record["cli"] == ["side"] and record["all_correct"] is True
+    assert record["same_outcome"] is False
+    assert record["stdout"] == {"parent": "parent\n", "change": "change\n"}
+    for side in ("parent", "change"):
+        package = tmp_path / side / "src" / "bpmdual"
+        digest = hashlib.sha256()
+        for name in ("__init__.py", "approxdeg.py", "cli.py"):
+            digest.update(name.encode() + b"\0" + (package / name).read_bytes() + b"\0")
+        assert record["commits"][side]["src_sha256"] == digest.hexdigest()
+        want = hashlib.sha256(f"{side}\n".encode()).hexdigest()
+        assert all(p[side]["stdout_sha256"] == want for p in record["pairs"])
+    assert record["commits"]["parent"]["src_sha256"] != record["commits"]["change"]["src_sha256"]
+    assert set(record["summary"]) == {"wall_s"}
+    check_summary(record, 3)
+
+
+def test_cli_stops_when_one_side_disagrees_with_itself(tmp_path, capsys):
+    with pytest.raises(SystemExit, match="the parent runs printed 2 different outputs"):
+        load_script().main(["--cli", "count", *fake_packages(tmp_path), "--pairs", "2",
+                            "--out", str(tmp_path / "bench.json")])
+    assert not (tmp_path / "bench.json").exists()
+
+
+@pytest.mark.parametrize("extra", [["--seed", "3"], ["--tiny"]])
+def test_cli_rejects_workload_options(tmp_path, capsys, extra):
+    with pytest.raises(SystemExit) as exc:
+        load_script().main(["--cli", "side", *fake_packages(tmp_path), *extra])
+    assert exc.value.code == 2
+    assert "--seed and --tiny apply to --workload only" in capsys.readouterr().err
+
+
+def test_cli_run_of_this_checkout(tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    assert load_script().main(["--cli", "apxdeg --n 2 --eps 1/3", "--parent", str(ROOT),
+                               "--change", str(ROOT), "--pairs", "2", "--out", str(out)]) == 0
+    assert "warning" not in capsys.readouterr().err
+    record = json.loads(out.read_text())
+    assert record["same_outcome"] is True and record["all_correct"] is True
+    assert "and_degree\t" in record["stdout"]["change"]
+    assert "certified\tTrue" in record["stdout"]["change"]
+    for pair in record["pairs"]:
+        for side in ("parent", "change"):
+            assert pair[side]["correct"] is True and pair[side]["failed"] == 0
+    check_summary(record, 2)
+    assert record["commits"]["parent"] == record["commits"]["change"]
+
+
+def test_cli_default_record_name(tmp_path, monkeypatch, capsys):
+    script = load_script()
+    monkeypatch.setattr(script, "ROOT", tmp_path)
+    assert script.main(["--cli", "side", *fake_packages(tmp_path), "--pairs", "1"]) == 0
+    assert (tmp_path / "BENCH_cli_side.json").is_file()
