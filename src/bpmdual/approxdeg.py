@@ -316,6 +316,20 @@ def _value_bounds(
 # The exchange engine
 
 
+def _term_logs(m: int, xf: np.ndarray) -> np.ndarray:
+    """ln of each term prod_{j != i} (m - x_j)/|x_i - x_j| of V(X) on the
+    sorted nodes xf, in floats.  The sums of ln|x_i - x_j| over j are one
+    real-FFT convolution of the node indicator with ln|t| (ln 1 = 0 at
+    t = 0), circular over a power of two >= 2m - 1 so no difference wraps."""
+    size = 1 << (2 * m - 2).bit_length()
+    idx = xf.astype(np.int64)
+    t = np.arange(size)
+    kernel = np.fft.rfft(np.log(np.maximum(np.minimum(t, size - t), 1)))
+    gaps = np.fft.irfft(np.fft.rfft(np.bincount(idx, minlength=size)) * kernel, size)[idx]
+    log_m = np.log(m - xf)
+    return log_m.sum() - log_m - gaps
+
+
 @dataclass(frozen=True)
 class _Scan:
     """What one enclosure pass proved about the current node set."""
@@ -328,20 +342,21 @@ class _Exchange:
     """Single-point exchange minimizing V(X).
 
     The engine holds one state per node set: the sorted nodes as float64
-    (`_xf`; grid points are integers far below 2^53), the log of each term
-    of V(X), the sum of log(m - x_j), and the enclosure of |D_i| until a
-    swap changes the nodes.  A swap builds the next state as new arrays in
-    O(d) vector work and adopts it only when V falls, so nothing is ever
-    rolled back.  No verdict rests on the logs: verdicts come from
+    (`_xf`; grid points are integers far below 2^53) and the log of each
+    term of V(X) from `_term_logs`.  A swap builds the next state as new
+    arrays in O(d) vector work and adopts it only when V falls, so nothing
+    is ever rolled back.  The logs only steer: verdicts come from
     `find_violations`, the engine's only route to exact arithmetic, and a
-    swap too close to call in logs asks the enclosure of V.
+    swap too close to call in logs asks the enclosure of V.  The |D_i|
+    enclosure and the interpolant are built on first use after each swap.
     """
 
     def __init__(self, m: int, xs: Sequence[int]):
         self.m = m
         self._xf = np.array(sorted(xs), dtype=np.float64)
+        self._term_logs = _term_logs(m, self._xf)
+        self._denominators: tuple[np.ndarray, np.ndarray] | None = None
         self._interpolant: UnivariatePolynomial | None = None
-        self._derive_logs()
 
     @property
     def xs(self) -> list[int]:
@@ -356,14 +371,13 @@ class _Exchange:
             self._interpolant = UnivariatePolynomial.alternating(self.m, self.xs)
         return self._interpolant
 
-    def _derive_logs(self) -> None:
-        """Derive the term logs and their log-sum afresh from the nodes, and
-        keep the enclosure of |D_i| (mantissa, exponent) for the scans of
-        this node set."""
-        dm, de = self._denominators = _float_denominators(self._xf)
-        log_m = np.log(self.m - self._xf)
-        self._log_m_sum = float(log_m.sum())
-        self._term_logs = self._log_m_sum - log_m - (np.log(dm) + de * math.log(2.0))
+    @property
+    def denominators(self) -> tuple[np.ndarray, np.ndarray]:
+        """The enclosure of |D_i| (mantissa, exponent) of the current nodes,
+        built on first use after each swap."""
+        if self._denominators is None:
+            self._denominators = _float_denominators(self._xf)
+        return self._denominators
 
     def logv(self) -> float:
         return _log_sum(self._term_logs)
@@ -378,11 +392,9 @@ class _Exchange:
         (1 once every free point is proven within [-1, 1]).  Only when
         nothing is left to swap and V(X) straddles the target is V(X) = q(m)
         computed exactly."""
-        if self._denominators is None:  # a swap changed the nodes
-            self._derive_logs()
         points = np.setdiff1d(np.arange(float(self.m)), self._xf, assume_unique=True)
         ys = np.append(points, float(self.m))
-        s, err, e = _enclose(self._xf, *self._denominators, ys)
+        s, err, e = _enclose(self._xf, *self.denominators, ys)
         lo, hi = _magnitude_bounds(s, err)
         v_lo, v_hi = _scaled_fraction(lo[-1], e[-1]), _scaled_fraction(hi[-1], e[-1])
         s, e, lo, hi = s[:-1], e[:-1], lo[:-1], hi[:-1]
@@ -414,10 +426,10 @@ class _Exchange:
             verdict = self.interpolant.evaluate(self.m) >= target
         return _Scan(violations, verdict)
 
-    def _replaced(self, pos: int, y: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """The state (nodes, term logs, log-sum) of the node set with the
-        node at index pos swapped for grid point y, built as new arrays in
-        O(d) vector work; the current state is left as it is."""
+    def _replaced(self, pos: int, y: int) -> tuple[np.ndarray, np.ndarray]:
+        """The state (nodes, term logs) of the node set with the node at
+        index pos swapped for grid point y, built as new arrays in O(d)
+        vector work; the current state is left as it is."""
         xf = self._xf
         xr = xf[pos]
         ins = int(np.searchsorted(xf, y) - (xr < y))  # y's slot once xr is out
@@ -429,7 +441,7 @@ class _Exchange:
         # every other term gains log(m - y) - log|x_j - y| and loses the
         # same for x_r; slot pos is overwritten by the new node's own term
         logs = self._term_logs + (np.log(gap_r) - log_y + (log_m_y - log_m_r))
-        own = self._log_m_sum - log_m_r - (log_y.sum() - log_y[pos])
+        own = np.log(self.m - xf).sum() - log_m_r - (log_y.sum() - log_y[pos])
         xf = xf.copy()
         if ins > pos:
             logs[pos:ins] = logs[pos + 1 : ins + 1]
@@ -439,11 +451,11 @@ class _Exchange:
             xf[ins + 1 : pos + 1] = xf[ins:pos]
         logs[ins] = own
         xf[ins] = y
-        return xf, logs, self._log_m_sum + (log_m_y - log_m_r)
+        return xf, logs
 
-    def _adopt(self, state: tuple[np.ndarray, np.ndarray, float]) -> None:
+    def _adopt(self, state: tuple[np.ndarray, np.ndarray]) -> None:
         """Make a state from `_replaced` the current one."""
-        self._xf, self._term_logs, self._log_m_sum = state
+        self._xf, self._term_logs = state
         self._denominators = None
         self._interpolant = None
 
@@ -464,15 +476,14 @@ class _Exchange:
         else:  # y lies past an end: the end node next to it, or the far one
             near, other = (0, d) if pos == 0 else (d, 0)
         drop = near if s == (1 if (d - near) % 2 == 0 else -1) else other
-        state = self._replaced(drop, y)
-        xf, logs, _ = state
+        xf, logs = self._replaced(drop, y)
         before_log, after_log = self.logv(), _log_sum(logs)
         if after_log < before_log - _LOG_MARGIN or (
             after_log < before_log + _LOG_MARGIN
             and _value_bounds(self.m, xf)[1]
-            < _value_bounds(self.m, self._xf, self._denominators)[0]
+            < _value_bounds(self.m, self._xf, self.denominators)[0]
         ):
-            self._adopt(state)
+            self._adopt((xf, logs))
             return True
         return False
 
@@ -514,43 +525,28 @@ def _least_degree(m: int, target: Fraction) -> tuple[int, tuple[int, ...]]:
 
     The search probes the degree where the equilibrium seeds' V(X) cross
     the target, then walks down while probes stay feasible or up until one
-    is, on proven verdicts alone.  Every estimate and every probe starts
-    from the seed of its degree.
+    is, on proven verdicts alone.  Every estimate and every probe builds
+    the seed of its degree.
     """
     log_target = _log2_fraction(target) * math.log(2.0)
-    # seeds built by the estimates, each probed at most once
-    seeds: dict[int, _Exchange] = {}
 
     def seed(d: int) -> _Exchange:
         return _Exchange(m, _equilibrium_int_points(m - 1, d + 1))
 
-    def seed_estimate(d: int) -> float:
-        """The float estimate ln V(X) - ln target of ln nu*(d) - ln target
-        on the seed, no scan needed: V(X) bounds nu*(d) from above, and
-        the seed lies near the optimum."""
-        seeds[d] = seed(d)
-        return seeds[d].logv() - log_target
-
-    def fresh_seed(d: int) -> _Exchange:
-        engine = seeds.pop(d, None)
-        return seed(d) if engine is None else engine
-
-    # ln nu*(0) = 0 and ln nu*(m - 1) = ln(2^m - 1): degree 0 is
+    # ln V(X) - ln target on a seed estimates ln nu*(d) - ln target with no
+    # scan: V(X) bounds nu*(d) from above, and the seed lies near the
+    # optimum.  ln nu*(0) = 0 and ln nu*(m - 1) = ln(2^m - 1): degree 0 is
     # infeasible and degree m - 1 feasible, so both walks end in range
-    d = _least_crossing(seed_estimate, 0, -log_target, m - 1, m * math.log(2.0) - log_target)
-    engine = fresh_seed(d)
+    g_hi = m * math.log(2.0) - log_target
+    d = _least_crossing(lambda d: seed(d).logv() - log_target, 0, -log_target, m - 1, g_hi)
+    engine = seed(d)
     if _probe(engine, target):
-        while d > 1:
-            below = fresh_seed(d - 1)
-            if not _probe(below, target):
-                break
+        while d > 1 and _probe(below := seed(d - 1), target):
             d, engine = d - 1, below
     else:
-        while True:
+        d += 1
+        while not _probe(engine := seed(d), target):
             d += 1
-            engine = fresh_seed(d)
-            if _probe(engine, target):
-                break
     return d, tuple(engine.xs)
 
 

@@ -186,19 +186,10 @@ def canonical_sort(
             r &= r - 1
             col_degree[j] += 1
     right_perm = tuple(sorted(range(n), key=lambda j: (-col_degree[j], j)))
-    col_position = [0] * n
-    for pos, j in enumerate(right_perm):
-        col_position[j] = pos
-    rows = []
-    for i in left_perm:
-        row = g.rows[i]
-        new_row = 0
-        while row:
-            j = (row & -row).bit_length() - 1
-            row &= row - 1
-            new_row |= 1 << col_position[j]
-        rows.append(new_row)
-    return BipartiteGraph(n, tuple(rows)), left_perm, right_perm
+    # in a chain each row of degree k is the k columns of largest degree,
+    # and columns of equal degree lie in the same rows: a prefix of h
+    rows = tuple((1 << g.rows[i].bit_count()) - 1 for i in left_perm)
+    return BipartiteGraph(n, rows), left_perm, right_perm
 
 
 def is_sorted_ordered(g: BipartiteGraph) -> bool:

@@ -22,7 +22,9 @@ from bpmdual.approxdeg import (
     _equilibrium_int_points,
     _equilibrium_mass,
     _float_denominators,
+    _log_sum,
     _min_feasible_degree,
+    _term_logs,
     and_feasibility_target,
     assemble_bpm_approximant,
     bpm_degree_bound,
@@ -275,7 +277,7 @@ class TestEquilibriumSeed:
 
 
 def float_state(engine):
-    return list(engine.xs), engine._term_logs.copy(), engine._xf.copy(), engine._log_m_sum
+    return list(engine.xs), engine._term_logs.copy(), engine._xf.copy()
 
 
 class TestExchangeBookkeeping:
@@ -290,7 +292,6 @@ class TestExchangeBookkeeping:
         assert np.array_equal(engine._xf, np.array(engine.xs, dtype=np.float64))
         fresh = _Exchange(m, engine.xs)
         np.testing.assert_allclose(engine._term_logs, fresh._term_logs, rtol=0, atol=1e-9)
-        assert engine._log_m_sum == pytest.approx(fresh._log_m_sum, rel=0, abs=1e-9)
 
     def test_failed_swap_restores_state(self):
         # no swap lowers V below the optimum, so every attempt must fail
@@ -300,11 +301,10 @@ class TestExchangeBookkeeping:
         for y in sorted(set(range(m)) - set(engine.xs)):
             for s in (1, -1):
                 assert not engine.swap_toward(y, s)
-                xs, logs, xf, log_m_sum = float_state(engine)
+                xs, logs, xf = float_state(engine)
                 assert xs == before[0]
                 assert np.array_equal(logs, before[1])
                 assert np.array_equal(xf, before[2])
-                assert log_m_sum == before[3]
 
     def test_near_tie_rejects_at_optimum(self, monkeypatch):
         # with a log margin of 1e3 every swap is decided by the enclosure
@@ -339,9 +339,9 @@ class TestExchangeBookkeeping:
         monkeypatch.setattr(approxdeg, "_float_denominators",
                             lambda xf: calls.append(1) or float_denominators(xf))
         engine = _Exchange(64, range(0, 64, 6))  # equispaced: q overshoots
-        assert len(calls) == 1
+        assert not calls  # the term logs do not read the enclosure
         violations = engine.find_violations(Fraction(2)).violations
-        assert violations and len(calls) == 1  # the scan reuses what __init__ built
+        assert violations and len(calls) == 1
         assert engine.swap_toward(*violations[0]) and len(calls) == 1
         engine.find_violations(Fraction(2))
         assert len(calls) == 2  # the swap changed the nodes
@@ -351,6 +351,36 @@ class TestExchangeBookkeeping:
         assert not optimum.swap_toward(free, 1) and not optimum.swap_toward(free, -1)
         optimum.find_violations(Fraction(2))
         assert not calls
+
+    def test_denominators_built_once_per_scan_and_for_no_estimate(self, monkeypatch):
+        # n = 32 at eps = 1/3 estimates several seeds, probes, and swaps,
+        # and every one of its scans faces no near tie
+        calls, scans = [], []
+        float_denominators = approxdeg._float_denominators
+        find_violations = _Exchange.find_violations
+        monkeypatch.setattr(approxdeg, "_float_denominators",
+                            lambda xf: calls.append(1) or float_denominators(xf))
+        monkeypatch.setattr(_Exchange, "find_violations",
+                            lambda self, target: scans.append(1) or find_violations(self, target))
+        _min_feasible_degree.cache_clear()
+        try:
+            assert bpm_degree_bound(32, THIRD).and_degree == 715
+        finally:
+            _min_feasible_degree.cache_clear()
+        assert len(calls) == len(scans) == 5
+
+    @pytest.mark.parametrize("m, count", [(4096, 2213), (676, 507), (64, 11)])
+    def test_term_logs_match_exact_integers(self, m, count):
+        # the FFT log-sum stays far inside the 1e-9 log margin that sends
+        # close swaps to the enclosure
+        xs = _equilibrium_int_points(m - 1, count)
+        log_m = [math.log(m - x) for x in xs]
+        total = math.fsum(log_m)
+        abs_d = _abs_denominators(xs)
+        exact = np.array([total - lm - math.log(ad) for lm, ad in zip(log_m, abs_d)])
+        logs = _term_logs(m, np.array(xs, dtype=np.float64))
+        np.testing.assert_allclose(logs, exact, rtol=0, atol=1e-10)
+        assert _log_sum(logs) == pytest.approx(_log_sum(exact), rel=0, abs=1e-10)
 
     def test_matching_neighbour_lowers_v(self):
         # swap_toward drops only the neighbour whose sign matches: for every
@@ -499,7 +529,7 @@ class TestEnclosure:
         assert dm.tobytes() == np.concatenate(mants).tobytes()
         assert de.tobytes() == np.concatenate(exps).tobytes()
 
-    def test_tie_at_4096_settled_exactly(self):
+    def test_tie_at_4096_settled_exactly(self, monkeypatch):
         # |q(2048)| = 1 exactly on this seed, so no float bound decides it
         engine = _Exchange(4096, _chebyshev_int_points(4095, 2213))
         (lo, hi, _), = self.enclosures(engine.xs, [2048])
@@ -511,8 +541,15 @@ class TestEnclosure:
         assert engine.interpolant.evaluate(2) == -1
         (lo, hi, _), = self.enclosures(engine.xs, [2])
         assert lo < -1 < hi
+        # the centre of the enclosure at 2 is exactly -1, so only its upper
+        # bound marks the point undecided and sends it to the exact evaluator
+        points = []
+        evaluate = UnivariatePolynomial.evaluate
+        monkeypatch.setattr(UnivariatePolynomial, "evaluate",
+                            lambda poly, t: points.append(t) or evaluate(poly, t))
         scan = engine.find_violations(Fraction(5))
         assert scan.violations == [] and scan.verdict is True
+        assert 2 in points
 
     def test_feasible_verdict_needs_the_lower_bound(self):
         # at the optimum max_q = 1 and V(X) is exact; a target 2^-60 above
