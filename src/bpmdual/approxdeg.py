@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -181,15 +182,14 @@ def _equilibrium_int_points(right_end: int, count: int) -> list[int]:
     half = _equilibrium_mass(np.abs(x), min(count / m, 1.0))
     cdf = 0.5 + np.where(x < 0, -half, half)
     raw = np.interp(np.linspace(0.0, 1.0, count), cdf, np.arange(m, dtype=np.float64))
-    xs = [round(v) for v in raw.tolist()]
-    for i in range(1, count):
-        xs[i] = max(xs[i], xs[i - 1] + 1)
-    xs[-1] = min(xs[-1], right_end)
-    for i in range(count - 2, -1, -1):
-        xs[i] = min(xs[i], xs[i + 1] - 1)
+    # rounded quantiles, then the least lift that makes x_i - i
+    # nondecreasing and at most right_end - count + 1, so the points are
+    # strictly increasing and end at or below right_end
+    k = np.arange(count)
+    xs = np.minimum(np.maximum.accumulate(np.rint(raw) - k), right_end - count + 1) + k
     if xs[0] < 0:
         raise ValueError(f"cannot place {count} points in [0, {right_end}]")
-    return xs
+    return xs.astype(np.int64).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +466,7 @@ class _Exchange:
         Dropping the alternation neighbour whose sign matches s keeps the
         data alternating, and then V falls by (|q(y)| - 1) |L_y(m)| > 0, so
         for a fresh violation the drop always succeeds.  Returns False, with
-        the state unchanged, when V does not fall: a batch entry whose sign
+        the state unchanged, when V does not fall: a scan's entry whose sign
         went stale.
         """
         pos = int(np.searchsorted(self._xf, y))
@@ -487,17 +487,6 @@ class _Exchange:
             return True
         return False
 
-    def exchange_batch(self, violations: list[tuple[int, int]]) -> bool:
-        """Swap in the violations of one scan, skipping entries gone stale;
-        True if V went down.  No entry can be a node by then: a scan's
-        violations are distinct free points, and a swap brings in only its
-        own."""
-        progressed = False
-        for y, s in violations:
-            if self.swap_toward(y, s):
-                progressed = True
-        return progressed
-
 
 def _log_sum(logs: np.ndarray) -> float:
     """log(sum(exp(logs))) without overflow."""
@@ -508,37 +497,46 @@ def _log_sum(logs: np.ndarray) -> float:
 def _probe(engine: _Exchange, target: Fraction) -> bool:
     """Exchange on the engine's node set until a scan proves whether
     nu*(d) reaches the target; the engine keeps the nodes that proved it.
-    No probe needs the optimum."""
+    No probe needs the optimum.  Each round swaps in the scan's violations,
+    skipping entries gone stale.  No entry can be a node by its turn: a
+    scan's violations are distinct free points, and a swap brings in only
+    its own."""
     d = len(engine._xf) - 1
     for _ in range(_EXCHANGE_MAX_ITER):
         scan = engine.find_violations(target)
         if scan.verdict is not None:
             return scan.verdict
-        if not engine.exchange_batch(scan.violations):
+        # a list, not a generator, so that every swap runs
+        if not any([engine.swap_toward(y, s) for y, s in scan.violations]):
             raise NumericalFailure(f"exchange stalled at m={engine.m}, d={d}")
     raise NumericalFailure(f"exchange did not converge at m={engine.m}, d={d}")
 
 
-def _least_degree(m: int, target: Fraction) -> tuple[int, tuple[int, ...]]:
-    """Least feasible degree on the grid m for the target ratio, and the
-    node set that proved it feasible.
+@lru_cache(maxsize=_MEMO_SIZE)
+def _min_feasible_degree(m: int, target: Fraction) -> tuple[int, tuple[int, ...]]:
+    """Least degree whose best approximation error meets the target ratio
+    (callers pass (1 - eps)/eps >= 2), and the node set that proved it
+    feasible (empty for m).
 
-    The search probes the degree where the equilibrium seeds' V(X) cross
-    the target, then walks down while probes stay feasible or up until one
-    is, on proven verdicts alone.  Every estimate and every probe builds
-    the seed of its degree.
+    The search probes the least degree whose equilibrium seed has V(X) at
+    or above the target, found by bisection, then walks down while probes
+    stay feasible or up until one is, on proven verdicts alone.  Every
+    estimate and every probe builds the seed of its degree.  The engine's
+    one cache: the result depends on (m, target) alone.
     """
+    if Fraction((1 << m) - 1) < target:
+        return m, ()  # even full alternation cannot reach the target
     log_target = _log2_fraction(target) * math.log(2.0)
 
     def seed(d: int) -> _Exchange:
         return _Exchange(m, _equilibrium_int_points(m - 1, d + 1))
 
-    # ln V(X) - ln target on a seed estimates ln nu*(d) - ln target with no
-    # scan: V(X) bounds nu*(d) from above, and the seed lies near the
-    # optimum.  ln nu*(0) = 0 and ln nu*(m - 1) = ln(2^m - 1): degree 0 is
+    # ln V(X) on a seed estimates ln nu*(d) with no scan: V(X) bounds
+    # nu*(d) from above, and the seed lies near the optimum.  The estimate
+    # never decreases with d, so bisection finds where it first reaches the
+    # target.  ln nu*(0) = 0 and ln nu*(m - 1) = ln(2^m - 1): degree 0 is
     # infeasible and degree m - 1 feasible, so both walks end in range
-    g_hi = m * math.log(2.0) - log_target
-    d = _least_crossing(lambda d: seed(d).logv() - log_target, 0, -log_target, m - 1, g_hi)
+    d = bisect_left(range(m - 1), True, lo=1, key=lambda d: seed(d).logv() >= log_target)
     engine = seed(d)
     if _probe(engine, target):
         while d > 1 and _probe(below := seed(d - 1), target):
@@ -548,45 +546,6 @@ def _least_degree(m: int, target: Fraction) -> tuple[int, tuple[int, ...]]:
         while not _probe(engine := seed(d), target):
             d += 1
     return d, tuple(engine.xs)
-
-
-def _least_crossing(evaluate, lo: int, g_lo: float, hi: int, g_hi: float) -> int:
-    """Least d in (lo, hi] with evaluate(d) >= 0, for evaluate an estimate
-    of an increasing convex curve that crosses 0 between the ends.
-
-    Illinois regula falsi: the end kept twice in a row has its g halved, so
-    the convex curve cannot stall the bracket on one side.  The ends are
-    never evaluated.
-    """
-    kept = 0  # +1 after an estimate at or above 0, -1 after one below
-    while hi - lo > 1:
-        d = lo + math.ceil(-g_lo * (hi - lo) / (g_hi - g_lo))
-        d = min(max(d, lo + 1), hi - 1)
-        g = evaluate(d)
-        if g >= 0:
-            hi, g_hi = d, max(g, _LOG_MARGIN)
-            if kept > 0:
-                g_lo /= 2
-            kept = 1
-        else:
-            lo, g_lo = d, min(g, -_LOG_MARGIN)
-            if kept < 0:
-                g_hi /= 2
-            kept = -1
-    return hi
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _min_feasible_degree(m: int, target: Fraction) -> tuple[int, tuple[int, ...]]:
-    """Least degree whose best approximation error meets the target ratio
-    (callers pass (1 - eps)/eps >= 2), and the node set that proved it
-    feasible (empty for m).
-
-    The engine's one cache: the result depends on (m, target) alone.
-    """
-    if Fraction((1 << m) - 1) < target:
-        return m, ()  # even full alternation cannot reach the target
-    return _least_degree(m, target)
 
 
 def and_feasibility_target(eps: Fraction) -> Fraction:

@@ -195,7 +195,9 @@ def elementary_sum_coefficient(g: BipartiteGraph) -> int:
     of (-1)^(|E(H)| - |E(G)|).
 
     Requires all left vertices, or all right vertices, to lie in one
-    connected component.
+    connected component.  The empty graph is excluded: at n = 1 it meets
+    that requirement, and the sum evaluates to -1 against a true constant
+    term of 0.
     """
     n = g.n
     if n > SUPERGRAPH_N_MAX:
@@ -205,15 +207,23 @@ def elementary_sum_coefficient(g: BipartiteGraph) -> int:
         raise PreconditionError(
             "neither bipartition lies inside a single connected component"
         )
+    if g.edge_count == 0:
+        raise EmptyGraphError("the elementary-sum oracle excludes the empty graph")
     m = g.mask
     return _elementary_sum(n, m, ((1 << (n * n)) - 1) ^ m)
 
 
 def permitted_sum_coefficient(h: BipartiteGraph) -> int:
-    """Elementary-supergraph sum restricted to subsets of the permitted edges."""
+    """Elementary-supergraph sum restricted to subsets of the permitted edges.
+
+    The empty graph is excluded: the sum evaluates to -1, 1, -4, 33, -456
+    there for n = 1..5, while the true constant term is 0.
+    """
     n = h.n
     if n > PERMITTED_N_MAX:
         raise SizeLimitError("n", n, PERMITTED_N_MAX)
+    if h.edge_count == 0:
+        raise EmptyGraphError("the permitted-sum oracle excludes the empty graph")
     s = representing_sequence(h)  # raises NotSortedOrderedError if unsorted
     pmask = 0
     for i, j in permitted_edges(s):

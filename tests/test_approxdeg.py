@@ -74,7 +74,14 @@ def _chebyshev_int_points(right_end: int, count: int) -> list[int]:
         0.5 * (1 - math.cos(math.pi * i / (count - 1))) * right_end
         for i in range(count)
     ]
+    return _separated(raw, right_end)
+
+
+def _separated(raw, right_end: int) -> list[int]:
+    """Round raw ascending points, then push colliding ones apart in two
+    loops: the reference for `_equilibrium_int_points`' numpy scans."""
     xs = [round(v) for v in raw]
+    count = len(xs)
     for i in range(1, count):
         xs[i] = max(xs[i], xs[i - 1] + 1)
     xs[-1] = min(xs[-1], right_end)
@@ -90,7 +97,7 @@ def exchange_to_optimum(m, d):
     |q| > 1, which makes the node set optimal."""
     engine = _Exchange(m, _chebyshev_int_points(m - 1, d + 1))
     while violations := engine.find_violations(Fraction(2)).violations:
-        assert engine.exchange_batch(violations)
+        assert any([engine.swap_toward(y, s) for y, s in violations])
     return engine
 
 
@@ -188,8 +195,8 @@ class TestMinAndApproxDegree:
         try:
             for m, d_star in zip(ms, expected):
                 monkeypatch.setattr(
-                    approxdeg, "_least_crossing",
-                    lambda evaluate, lo, g_lo, hi, g_hi: min(max(d_star + offset, lo + 1), hi),
+                    approxdeg, "bisect_left",
+                    lambda seq, x, lo, key: min(max(d_star + offset, lo), len(seq)),
                 )
                 _min_feasible_degree.cache_clear()
                 assert min_and_approx_degree(m, eps) == d_star, (m, eps, offset)
@@ -198,8 +205,7 @@ class TestMinAndApproxDegree:
 
     def test_degrees_with_every_swap_decided_by_the_enclosure(self, monkeypatch):
         # a log margin of 1e3 sends every swap decision through the
-        # enclosure of V (and widens the regula falsi's clamps); the
-        # degrees must not change
+        # enclosure of V; the degrees must not change
         queries = [(m, eps) for m in range(2, 65) for eps in (THIRD, Fraction(1, 1000))]
         expected = [min_and_approx_degree(m, eps) for m, eps in queries]
         bounds_calls = []
@@ -259,6 +265,29 @@ class TestEquilibriumSeed:
         xs = _equilibrium_int_points(4095, 2214)
         assert contiguous_run(xs, 0, 1) >= 300
         assert contiguous_run(xs, 4095, -1) >= 300
+
+    def test_placement_matches_loops(self):
+        # the same quantiles, separated by the Python loops
+        def reference(right_end, count):
+            m = right_end + 1
+            x = np.linspace(-1.0, 1.0, m)
+            half = _equilibrium_mass(np.abs(x), min(count / m, 1.0))
+            cdf = 0.5 + np.where(x < 0, -half, half)
+            raw = np.interp(np.linspace(0.0, 1.0, count), cdf, np.arange(m, dtype=np.float64))
+            return _separated(raw.tolist(), right_end)
+
+        cases = [(m, count) for m in range(2, 65) for count in range(2, m + 1)]
+        cases += [(m, count) for m in (676, 4096) for count in range(2, m + 1, 97)]
+        for m, count in cases:
+            assert _equilibrium_int_points(m - 1, count) == reference(m - 1, count), (m, count)
+
+    def test_seed_estimate_never_decreases(self):
+        # the degree search bisects on ln V(X) of the seeds, which is sound
+        # only if the estimate never falls as the degree grows
+        for m in range(2, 65):
+            logs = [_Exchange(m, _equilibrium_int_points(m - 1, d + 1)).logv()
+                    for d in range(1, m)]
+            assert all(a <= b for a, b in zip(logs, logs[1:])), m
 
     @pytest.mark.parametrize("c", [0.003, 0.1, 0.54, 0.9, 1.0])
     def test_mass_matches_trapezoid(self, c):
@@ -550,6 +579,18 @@ class TestEnclosure:
         scan = engine.find_violations(Fraction(5))
         assert scan.violations == [] and scan.verdict is True
         assert 2 in points
+
+    def test_settled_violation_by_any_margin(self, monkeypatch):
+        # the exact settling counts |q| > 1 as a violation however small the
+        # excess: at the undecided point 2 of this node set, an exact value
+        # 2^-100 beyond -1 must come back as a violation of sign -1
+        engine = _Exchange(4, [0, 1, 3])
+        evaluate = UnivariatePolynomial.evaluate
+        monkeypatch.setattr(
+            UnivariatePolynomial, "evaluate",
+            lambda poly, t: evaluate(poly, t) - Fraction(1, 2**100) if t == 2 else evaluate(poly, t),
+        )
+        assert engine.find_violations(Fraction(5)).violations == [(2, -1)]
 
     def test_feasible_verdict_needs_the_lower_bound(self):
         # at the optimum max_q = 1 and V(X) is exact; a target 2^-60 above

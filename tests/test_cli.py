@@ -57,6 +57,12 @@ class TestCoeff:
         p.write_text("2\n00\n00\n")
         assert run(["coeff", "--graph", str(p), "--method", "chisum"]) == 2
 
+    def test_permitted_rejects_empty(self, tmp_path, capsys):
+        p = tmp_path / "empty.txt"
+        p.write_text("2\n00\n00\n")
+        assert run(["coeff", "--graph", str(p), "--method", "permitted"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_methods_agree_on_sampled_n3_graphs(self, write_graph, capsys):
         import random
 

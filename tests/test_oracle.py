@@ -383,6 +383,11 @@ class TestElementarySum:
         with pytest.raises(PreconditionError):
             elementary_sum_coefficient(BipartiteGraph.empty(2))
 
+    def test_empty_graph_rejected(self):
+        # empty(1) meets the component precondition; the sum would be -1
+        with pytest.raises(EmptyGraphError):
+            elementary_sum_coefficient(BipartiteGraph.empty(1))
+
 
 class TestPermittedSum:
     def test_block(self):
@@ -394,6 +399,12 @@ class TestPermittedSum:
 
     def test_isolated_plus_full_row(self):
         assert permitted_sum_coefficient(g(2, (2, 1), (2, 2))) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_empty_graph_rejected(self, n):
+        # the sum would be -1, 1, -4, 33 where the true constant term is 0
+        with pytest.raises(EmptyGraphError):
+            permitted_sum_coefficient(BipartiteGraph.empty(n))
 
     def test_rejects_unsorted(self):
         from bpmdual._errors import NotSortedOrderedError
