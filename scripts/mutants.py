@@ -1,29 +1,26 @@
 """Mutation check: does the test suite notice a deliberate one-line fault?
 
-    python3 scripts/mutants.py                 # every mutant, against its module's test files
-    python3 scripts/mutants.py --full          # every mutant, against the whole suite
-    python3 scripts/mutants.py --only gamma-halved witness-slack
+    python3 scripts/mutants.py
 
 Each entry of MUTANTS replaces one exact piece of text in one source file.
 The script copies this checkout into a temporary directory (under $TMPDIR),
 checks that each mutant's text occurs exactly once, runs the unmutated
 tests once, then applies one mutant at a time and runs pytest with -x on
-the mutant's test files (or on the whole suite with --full).  A mutant is
+the mutant's module test file and the shared test files.  A mutant is
 killed when pytest fails.  Nothing in this checkout is modified.
 
 Some mutants cannot change any outcome that a test can see: a rounding
 constant cut below what the error analysis needs but still above the float
 error of every case the tests meet, or a search step that the degree walk
-corrects.  They are marked as expected survivors.  The script prints one table row per mutant and
-exits 1 if a mutant survives that should have been killed, or if an
-expected survivor is killed (the list is then out of date).  It needs only
-pytest, and stays out of the tier-1 suite: one mutant costs one run of its
-test files, up to about 25 s.
+corrects.  They are marked as expected survivors.  The script prints one
+table row per mutant and exits 1 if a mutant survives that should have
+been killed, or if an expected survivor is killed (the list is then out
+of date).  It needs only pytest, and stays out of the tier-1 suite: one
+mutant costs one run of its test files, up to about 25 s.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -201,30 +198,18 @@ def run_tests(checkout: Path, tests: list[str]) -> bool:
     return result.returncode == 0
 
 
-def tests_for(mutant: Mutant, full: bool) -> list[str]:
-    return ["tests"] if full else [MODULE_TESTS[mutant.file], *SHARED_TESTS]
+def tests_for(mutant: Mutant) -> list[str]:
+    return [MODULE_TESTS[mutant.file], *SHARED_TESTS]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--full", action="store_true", help="run the whole suite per mutant")
-    parser.add_argument("--only", nargs="+", metavar="NAME", help="run only these mutants")
-    args = parser.parse_args(argv)
-
-    mutants = MUTANTS
-    if args.only:
-        unknown = set(args.only) - {m.name for m in MUTANTS}
-        if unknown:
-            parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
-        mutants = [m for m in MUTANTS if m.name in args.only]
-
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         checkout = copy_checkout(Path(tmp))
-        problems = check_texts(mutants, checkout)
+        problems = check_texts(MUTANTS, checkout)
         if problems:
             print("\n".join(problems), file=sys.stderr)
             return 2
-        baseline = sorted({p for m in mutants for p in tests_for(m, args.full)})
+        baseline = sorted({p for m in MUTANTS for p in tests_for(m)})
         if not run_tests(checkout, baseline):
             print("error: the unmutated tests fail", file=sys.stderr)
             return 2
@@ -232,13 +217,13 @@ def main(argv=None) -> int:
         print("| mutant | file | result | expected | s |")
         print("|---|---|---|---|---|")
         mismatches = 0
-        for mutant in mutants:
+        for mutant in MUTANTS:
             path = checkout / "src" / "bpmdual" / mutant.file
             source = path.read_text()
             path.write_text(source.replace(mutant.old, mutant.new))
             start = time.perf_counter()
             try:
-                killed = not run_tests(checkout, tests_for(mutant, args.full))
+                killed = not run_tests(checkout, tests_for(mutant))
             finally:
                 path.write_text(source)
             seconds = time.perf_counter() - start
