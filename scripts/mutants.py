@@ -143,6 +143,17 @@ MUTANTS = [
            "np.result_type(values.dtype, np.int32)", "np.int8",
            "int8 holds every intermediate at n <= 5 (within +-9), but only int32 rests on"
            " the independent 2^25 bound; a dtype assertion catches it"),
+    # --- oracle: the coefficient table's int8-then-int32 blocks
+    Mutant("block-buffer-int16", "oracle.py",
+           "buf = np.empty(size, dtype=np.int32)", "buf = np.empty(size, dtype=np.int16)",
+           "the per-block transform wraps coefficients beyond 2^15 (none at n <= 5)"),
+    Mutant("block-offset-dropped", "oracle.py",
+           "masks.append(nz + start)", "masks.append(nz)",
+           "every block's nonzeros are reported as masks of the first block"),
+    Mutant("high-sweeps-one-bit-late", "oracle.py",
+           "_in_place_sweep(values, range(block_bits, bits), np.subtract)",
+           "_in_place_sweep(values, range(block_bits + 1, bits), np.subtract)",
+           "the lowest lattice bit above a block is never swept"),
     # --- coeff: the branches of the closed form
     Mutant("closed-form-first-branch", "coeff.py",
            "if d <= prev_k:", "if d < prev_k:",

@@ -15,7 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from ._errors import EmptyGraphError, PreconditionError, SizeLimitError
-from .bigraph import BipartiteGraph, _components, complement, has_perfect_matching
+from .bigraph import BipartiteGraph, _check_side, _components, complement, has_perfect_matching
 from .ordered import permitted_edges, representing_sequence
 from .polyspace import DualPolynomial
 
@@ -242,16 +242,19 @@ def star_table(n: int, huge: bool = False) -> np.ndarray:
     """BPM* values for every edge mask, as an int8 0/1 array of size 2^(n^2).
 
     Built as the OR superset closure of the n! permutation masks, so the table
-    is independent of the per-graph matching code.
+    is independent of the per-graph matching code.  The closure is negated in
+    place and returned as a reversed view, so the table is its only array.
     """
+    _check_side(n)
     cap = TABLE_N_MAX_HUGE if huge else TABLE_N_MAX
     if n > cap:
         raise SizeLimitError("n", n, cap)
     has_pm = np.zeros(1 << (n * n), dtype=bool)
     has_pm[_permutation_masks(n)] = True
     _lattice_sweep(has_pm, n * n, np.bitwise_or)
+    np.logical_not(has_pm, out=has_pm)
     # star[mask] = 1 - has_pm[complement of mask]; complement reverses index order.
-    return np.logical_not(has_pm[::-1]).view(np.int8)
+    return has_pm[::-1].view(np.int8)
 
 
 # A lattice sweep over bit b runs numpy's inner loop over 2^b contiguous
@@ -305,8 +308,34 @@ def zeta_transform(values: np.ndarray, bits: int) -> np.ndarray:
     return _lattice_sweep(values.copy(), bits, np.add)
 
 
+def _mobius_nonzeros(values: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(masks, coefficients) of the nonzero entries of the Mobius transform of
+    the int8 0/1 array values, masks ascending; values is overwritten.
+
+    The bits above one block of _BLOCK_ROWS << _LOW_BITS entries are swept in
+    place in int8.  That is exact: after b subtract sweeps of 0/1 input every
+    entry lies in [-2^(b-1), 2^(b-1)], inside [-64, 64] for b <= 7, and
+    inside int32 for b <= 31.  Each block is then widened into one int32
+    buffer, its own bits are swept there, and its nonzeros are read while it
+    is still cached.
+    """
+    size = min(len(values), _BLOCK_ROWS << _LOW_BITS)
+    block_bits = size.bit_length() - 1
+    assert bits - block_bits <= 7, "int8 holds at most 7 subtract sweeps of 0/1 input"
+    _in_place_sweep(values, range(block_bits, bits), np.subtract)
+    buf = np.empty(size, dtype=np.int32)
+    masks, coeffs = [], []
+    for start in range(0, len(values), size):
+        buf[...] = values[start:start + size]
+        _lattice_sweep(buf, block_bits, np.subtract)
+        nz = np.flatnonzero(buf)
+        masks.append(nz + start)
+        coeffs.append(buf[nz])
+    return np.concatenate(masks), np.concatenate(coeffs)
+
+
 def coefficient_table(n: int, huge: bool = False) -> DualPolynomial:
-    """Complete exact coefficient table of BPM*_n via the fast transform."""
-    coeffs = mobius_transform(star_table(n, huge), n * n)
-    nz = np.nonzero(coeffs)[0]
-    return DualPolynomial(n, dict(zip(nz.tolist(), coeffs[nz].tolist())))
+    """Complete exact coefficient table of BPM*_n via the fast transform,
+    which never holds the whole table wider than int8."""
+    masks, coeffs = _mobius_nonzeros(star_table(n, huge), n * n)
+    return DualPolynomial(n, dict(zip(masks.tolist(), coeffs.tolist())))

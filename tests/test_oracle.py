@@ -25,6 +25,7 @@ from bpmdual.oracle import (
     _elementary_sum,
     _holds_rectangle,
     _lattice_sweep,
+    _mobius_nonzeros,
     _permutation_masks,
     _rectangles,
     _signed_walk,
@@ -39,7 +40,7 @@ from bpmdual.oracle import (
     zeta_transform,
 )
 from bpmdual.ordered import Block, is_sorted_ordered
-from bpmdual.polyspace import evaluate, monomial_count
+from bpmdual.polyspace import evaluate, materialize, monomial_count
 
 
 def g(n, *edges):
@@ -84,6 +85,21 @@ class TestStarTable:
         table = star_table(n)
         for graph in all_graphs(n):
             assert table[graph.mask] == bpm_star_value(graph), graph
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_side_below_one(self, n):
+        with pytest.raises(ValueError, match="side size must be positive"):
+            star_table(n)
+
+    def test_n5_allocates_only_the_table(self):
+        tracemalloc.start()
+        try:
+            table = star_table(5, huge=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.nbytes == 1 << 25
+        assert peak <= table.nbytes + (2 << 20)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_mutating_a_table_leaves_later_calls_alone(self, n):
@@ -162,6 +178,43 @@ class TestLatticeSweep:
         finally:
             tracemalloc.stop()
         assert coeffs.nbytes <= peak <= coeffs.nbytes + (2 << 20)
+
+
+def parity_with_noise(rng, bits, rate):
+    """0/1 array: the parity of each index's popcount, flipped at random with
+    probability rate.  Its Mobius coefficients reach about 2^(bits-1)."""
+    idx = np.arange(1 << bits)
+    parity = np.zeros(1 << bits, dtype=bool)
+    for b in range(bits):
+        parity ^= (idx >> b & 1).astype(bool)
+    return (parity ^ (rng.random(1 << bits) < rate)).astype(np.int8)
+
+
+class TestMobiusNonzeros:
+    @pytest.mark.parametrize("rate", [0.02, 0.3])
+    def test_matches_mobius_transform_over_many_blocks(self, monkeypatch, rate):
+        # 2^8 rows of 2^5 entries: 2^13-entry blocks, 2^7 of them, and the 7
+        # bits above a block swept in int8.
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", 1 << 8)
+        values = parity_with_noise(np.random.default_rng(20261020), 20, rate)
+        reference = mobius_transform(values, 20)
+        assert np.abs(reference).max() > 1 << 15  # an int16 block would wrap
+        masks, coeffs = _mobius_nonzeros(values.copy(), 20)
+        expected = np.flatnonzero(reference)
+        assert np.array_equal(masks, expected)
+        assert np.array_equal(coeffs, reference[expected])
+
+    def test_refuses_more_than_seven_int8_sweeps(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", 1 << 7)
+        with pytest.raises(AssertionError):
+            _mobius_nonzeros(np.zeros(1 << 20, dtype=np.int8), 20)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_table_equals_full_transform(self, n):
+        coeffs = mobius_transform(star_table(n), n * n)
+        nz = np.flatnonzero(coeffs)
+        expected = dict(zip(nz.tolist(), coeffs[nz].tolist()))
+        assert list(coefficient_table(n).terms.items()) == list(expected.items())
 
 
 class TestMobius:
@@ -439,9 +492,22 @@ class TestCoefficientTable:
         with pytest.raises(SizeLimitError):
             coefficient_table(5)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_side_below_one(self, n):
+        with pytest.raises(ValueError, match="side size must be positive"):
+            coefficient_table(n)
+
     def test_n5_table(self):
-        table = coefficient_table(5, huge=True)
+        tracemalloc.start()
+        try:
+            table = coefficient_table(5, huge=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # half of one int32 table of 2^25 entries
+        assert peak <= 64 << 20
         assert len(table) == monomial_count(5) == 95161
+        assert table.terms == materialize(5).terms
         rng = random.Random(20261018)
         nonzero = rng.sample(sorted(table.terms), 200)
         uniform = [rng.getrandbits(25) for _ in range(200)]
