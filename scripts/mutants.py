@@ -129,9 +129,13 @@ MUTANTS = [
     Mutant("block-bits-off-by-one", "oracle.py",
            "inside = low + count.bit_length() - 1", "inside = low + count.bit_length() - 2",
            "one lattice bit inside a block is swept twice, or never"),
-    Mutant("closure-and", "oracle.py",
-           "_lattice_sweep(has_pm, n * n, np.bitwise_or)", "_lattice_sweep(has_pm, n * n, np.bitwise_and)",
-           "the BPM* table is the AND closure, not the superset closure"),
+    Mutant("closure-upwards", "oracle.py",
+           "_in_place_sweep(words[::-1], range(max(0, bits - 6)), np.bitwise_or)",
+           "_in_place_sweep(words, range(max(0, bits - 6)), np.bitwise_or)",
+           "the packed BPM* closure runs up the word index, not down"),
+    Mutant("in-word-closure-upwards", "oracle.py",
+           "np.right_shift(chunk, shift, out=tmp)", "np.left_shift(chunk, shift, out=tmp)",
+           "inside a word the closure ORs in the position below, not above"),
     Mutant("zeta-or", "oracle.py",
            "return _lattice_sweep(values.copy(), bits, np.add)",
            "return _lattice_sweep(values.copy(), bits, np.bitwise_or)",
@@ -143,18 +147,31 @@ MUTANTS = [
            "np.result_type(values.dtype, np.int32)", "np.int8",
            "int8 holds every intermediate at n <= 5 (within +-9), but only int32 rests on"
            " the independent 2^25 bound; a dtype assertion catches it"),
-    # --- oracle: the coefficient table's int8-then-int32 blocks
+    # --- oracle: the coefficient table's int8 superblocks and int32 blocks
     Mutant("block-buffer-int16", "oracle.py",
-           "buf = np.empty(size, dtype=np.int32)", "buf = np.empty(size, dtype=np.int16)",
+           "buf = np.empty(block, dtype=np.int32)", "buf = np.empty(block, dtype=np.int16)",
            "the per-block transform wraps coefficients beyond 2^15 (none at n <= 5)"),
     Mutant("block-offset-dropped", "oracle.py",
-           "masks.append(nz + start)", "masks.append(nz)",
-           "every block's nonzeros are reported as masks of the first block"),
+           "masks.append(nz + ((a << super_bits) + start))", "masks.append(nz + (a << super_bits))",
+           "every block's nonzeros are reported as masks of its superblock's first block"),
+    Mutant("superblock-offset-dropped", "oracle.py",
+           "masks.append(nz + ((a << super_bits) + start))", "masks.append(nz + start)",
+           "every superblock's nonzeros are reported as masks of the first superblock"),
+    Mutant("superblock-signs-swapped", "oracle.py",
+           "op = np.subtract if (a ^ sub).bit_count() & 1 else np.add",
+           "op = np.add if (a ^ sub).bit_count() & 1 else np.subtract",
+           "inclusion-exclusion over the bits above a superblock takes the wrong signs"),
     Mutant("high-sweeps-one-bit-late", "oracle.py",
-           "_in_place_sweep(values, range(block_bits, bits), np.subtract)",
-           "_in_place_sweep(values, range(block_bits + 1, bits), np.subtract)",
+           "_in_place_sweep(acc, range(block_bits, super_bits), np.subtract)",
+           "_in_place_sweep(acc, range(block_bits + 1, super_bits), np.subtract)",
            "the lowest lattice bit above a block is never swept"),
-    # --- coeff: the branches of the closed form
+    # --- coeff: the chain test and run lengths, and the branches of the closed form
+    Mutant("chain-test-reversed", "coeff.py",
+           "if prev & ~row:", "if row & ~prev:",
+           "a row that grows is taken as breaking the chain"),
+    Mutant("single-first-run-merged", "coeff.py",
+           "if row != prev and count:", "if row != prev and count > 1:",
+           "a first run of one row is merged into the next run"),
     Mutant("closed-form-first-branch", "coeff.py",
            "if d <= prev_k:", "if d < prev_k:",
            "a block with d_i = k_{i-1} takes the general branch"),
@@ -172,12 +189,12 @@ MUTANTS = [
            "the closing binomial has the wrong top"),
     # --- bigraph: from_mask
     Mutant("from-mask-unmasked-rows", "bigraph.py",
-           "tuple((mask >> (i * n)) & full for i in range(n))",
-           "tuple(mask >> (i * n) for i in range(n))",
+           "tuple([(mask >> s) & full for s in range(0, n * n, n)])",
+           "tuple([mask >> s for s in range(0, n * n, n)])",
            "rows keep the bits of the rows above them"),
     Mutant("from-mask-row-offset", "bigraph.py",
-           "tuple((mask >> (i * n)) & full for i in range(n))",
-           "tuple((mask >> (i * (n - 1))) & full for i in range(n))",
+           "tuple([(mask >> s) & full for s in range(0, n * n, n)])",
+           "tuple([(mask >> s) & full for s in range(0, n * (n - 1), n - 1)])",
            "rows are read at the wrong offsets"),
 ]
 

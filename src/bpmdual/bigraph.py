@@ -70,7 +70,7 @@ class BipartiteGraph:
         # Each row is masked to n bits here, so the row checks of __init__ are skipped.
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
-        object.__setattr__(g, "rows", tuple((mask >> (i * n)) & full for i in range(n)))
+        object.__setattr__(g, "rows", tuple([(mask >> s) & full for s in range(0, n * n, n)]))
         return g
 
     @property

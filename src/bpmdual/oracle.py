@@ -238,23 +238,80 @@ def _elementary_sum(n: int, m: int, free: int) -> int:
                for signs, comps in _supergraph_components(n, m, free))
 
 
-def star_table(n: int, huge: bool = False) -> np.ndarray:
-    """BPM* values for every edge mask, as an int8 0/1 array of size 2^(n^2).
-
-    Built as the OR superset closure of the n! permutation masks, so the table
-    is independent of the per-graph matching code.  The closure is negated in
-    place and returned as a reversed view, so the table is its only array.
-    """
+def _table_bits(n: int, huge: bool) -> int:
+    """n^2, once n is a valid side within the table cap."""
     _check_side(n)
     cap = TABLE_N_MAX_HUGE if huge else TABLE_N_MAX
     if n > cap:
         raise SizeLimitError("n", n, cap)
-    has_pm = np.zeros(1 << (n * n), dtype=bool)
-    has_pm[_permutation_masks(n)] = True
-    _lattice_sweep(has_pm, n * n, np.bitwise_or)
-    np.logical_not(has_pm, out=has_pm)
-    # star[mask] = 1 - has_pm[complement of mask]; complement reverses index order.
-    return has_pm[::-1].view(np.int8)
+    return n * n
+
+
+# The down-closure over lattice bit s inside a 64-bit word: a position with
+# bit s clear (the set bits of `low`) ORs in the position 2^s above it.
+_IN_WORD = [(np.uint64(1 << s), np.uint64(low)) for s, low in enumerate((
+    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+    0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF))]
+# Words per in-word pass (64 KiB), and entries per unpacked chunk (512 KiB).
+_WORD_CHUNK = 1 << 13
+_UNPACK_CHUNK = 1 << 19
+
+
+def packed_star_table(n: int, huge: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+    """star_table(n, huge) packed 8 masks to a byte in little bit order: mask
+    i is bit i % 8 of byte i // 8.  Bits past 2^(n^2) are padding up to one
+    8-byte word.  out, if given, is a uint8 buffer of 2^(n^2) / 8 bytes (n >= 3)
+    to fill and return.
+
+    BPM*(mask) = 0 iff the complement of mask holds a perfect matching, that
+    is iff mask lies below full ^ p for a permutation mask p.  So those n!
+    complements are seeded, closed downwards and inverted, 64 masks to a
+    uint64 word: first over the bits of the word index, then, a slice of
+    words at a time, over the six bits inside a word (the closure commutes
+    across bits).  The table is independent of the per-graph matching code.
+    """
+    bits = _table_bits(n, huge)
+    if out is None:
+        out = np.empty(max(8, (1 << bits) >> 3), dtype=np.uint8)
+    words = out.view("<u8")
+    words[...] = 0
+    full = (1 << bits) - 1
+    seeds = np.array([full ^ p for p in _permutation_masks(n)], dtype=np.int64)
+    np.bitwise_or.at(words, seeds >> 6, np.left_shift(np.uint64(1), (seeds & 63).astype(np.uint64)))
+    # On the reversed words, the sweep's upper |= lower is lower |= upper.
+    _in_place_sweep(words[::-1], range(max(0, bits - 6)), np.bitwise_or)
+    scratch = np.empty(min(len(words), _WORD_CHUNK), dtype=words.dtype)
+    for start in range(0, len(words), _WORD_CHUNK):
+        chunk = words[start:start + _WORD_CHUNK]
+        tmp = scratch[:len(chunk)]
+        for shift, low in _IN_WORD[:bits]:
+            np.right_shift(chunk, shift, out=tmp)
+            np.bitwise_and(tmp, low, out=tmp)
+            np.bitwise_or(chunk, tmp, out=chunk)
+        np.invert(chunk, out=chunk)
+    return out
+
+
+def _unpack(packed: np.ndarray, start: int, count: int) -> np.ndarray:
+    """The int8 0/1 values of masks start .. start + count - 1 of packed bits;
+    start is a multiple of 8."""
+    piece = packed[start >> 3:(start + count + 7) >> 3]
+    return np.unpackbits(piece, count=count, bitorder="little").view(np.int8)
+
+
+def star_table(n: int, huge: bool = False) -> np.ndarray:
+    """BPM* values for every edge mask, as an int8 0/1 array of size 2^(n^2).
+
+    The packed bits of packed_star_table are built in the last eighth of the
+    table and unpacked front to back in chunks.  A chunk ends before the packed
+    bytes of the next one begin, so the table is the only large array.
+    """
+    size = 1 << _table_bits(n, huge)
+    table = np.empty(size, dtype=np.int8)
+    packed = packed_star_table(n, huge, table[-(size >> 3):].view(np.uint8) if size >= 64 else None)
+    for start in range(0, size, _UNPACK_CHUNK):
+        table[start:start + _UNPACK_CHUNK] = _unpack(packed, start, min(size, _UNPACK_CHUNK))
+    return table
 
 
 # A lattice sweep over bit b runs numpy's inner loop over 2^b contiguous
@@ -308,34 +365,54 @@ def zeta_transform(values: np.ndarray, bits: int) -> np.ndarray:
     return _lattice_sweep(values.copy(), bits, np.add)
 
 
-def _mobius_nonzeros(values: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """(masks, coefficients) of the nonzero entries of the Mobius transform of
-    the int8 0/1 array values, masks ascending; values is overwritten.
+# The int8 stage of _mobius_nonzeros builds one superblock of 2^_SUPER_BITS
+# entries (2 MiB) at a time, a whole number of blocks.
+_SUPER_BITS = 21
 
-    The bits above one block of _BLOCK_ROWS << _LOW_BITS entries are swept in
-    place in int8.  That is exact: after b subtract sweeps of 0/1 input every
-    entry lies in [-2^(b-1), 2^(b-1)], inside [-64, 64] for b <= 7, and
-    inside int32 for b <= 31.  Each block is then widened into one int32
-    buffer, its own bits are swept there, and its nonzeros are read while it
-    is still cached.
+
+def _mobius_nonzeros(packed: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(masks, coefficients) of the nonzero entries of the Mobius transform of
+    the 2^bits 0/1 values in packed (as np.packbits(values, bitorder="little")),
+    masks ascending.
+
+    The input is unpacked one int8 superblock of 2^_SUPER_BITS entries at a
+    time, so the unpacked table is never built.  Superblock a, indexed by the
+    t bits above it, is transformed over those bits by inclusion-exclusion:
+    the sum over sub subseteq a of (-1)^|a - sub| unpack(sub), 3^t unpacks in
+    all.  Its bits above one block of _BLOCK_ROWS << _LOW_BITS entries are
+    then swept in place in int8.  That is exact: t plus those sweeps is the
+    number b of bits above a block, every partial sum over 0/1 input then lies
+    in [-2^(b-1), 2^(b-1)], inside [-64, 64] for b <= 7, and inside int32 for
+    b <= 31.  Each block is then widened into one int32 buffer, its own bits
+    are swept there, and its nonzeros are read while it is still cached.
     """
-    size = min(len(values), _BLOCK_ROWS << _LOW_BITS)
-    block_bits = size.bit_length() - 1
+    size = 1 << bits
+    block = min(size, _BLOCK_ROWS << _LOW_BITS)
+    block_bits = block.bit_length() - 1
     assert bits - block_bits <= 7, "int8 holds at most 7 subtract sweeps of 0/1 input"
-    _in_place_sweep(values, range(block_bits, bits), np.subtract)
-    buf = np.empty(size, dtype=np.int32)
+    super_bits = min(bits, _SUPER_BITS)
+    span = 1 << super_bits
+    buf = np.empty(block, dtype=np.int32)
     masks, coeffs = [], []
-    for start in range(0, len(values), size):
-        buf[...] = values[start:start + size]
-        _lattice_sweep(buf, block_bits, np.subtract)
-        nz = np.flatnonzero(buf)
-        masks.append(nz + start)
-        coeffs.append(buf[nz])
+    for a in range(size >> super_bits):
+        acc = _unpack(packed, a << super_bits, span)
+        sub = a
+        while sub:
+            sub = (sub - 1) & a
+            op = np.subtract if (a ^ sub).bit_count() & 1 else np.add
+            op(acc, _unpack(packed, sub << super_bits, span), out=acc)
+        _in_place_sweep(acc, range(block_bits, super_bits), np.subtract)
+        for start in range(0, span, block):
+            buf[...] = acc[start:start + block]
+            _lattice_sweep(buf, block_bits, np.subtract)
+            nz = np.flatnonzero(buf != 0)
+            masks.append(nz + ((a << super_bits) + start))
+            coeffs.append(buf[nz])
     return np.concatenate(masks), np.concatenate(coeffs)
 
 
 def coefficient_table(n: int, huge: bool = False) -> DualPolynomial:
     """Complete exact coefficient table of BPM*_n via the fast transform,
-    which never holds the whole table wider than int8."""
-    masks, coeffs = _mobius_nonzeros(star_table(n, huge), n * n)
+    streamed from the packed BPM* bits: the unpacked table is never built."""
+    masks, coeffs = _mobius_nonzeros(packed_star_table(n, huge), n * n)
     return DualPolynomial(n, dict(zip(masks.tolist(), coeffs.tolist())))

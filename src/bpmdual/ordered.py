@@ -138,8 +138,9 @@ def is_totally_ordered(g: BipartiteGraph) -> bool:
 
 
 def _chain(rows: tuple[int, ...]) -> list[int] | None:
-    """The rows sorted by degree if they form a chain under inclusion, else None."""
-    rows = sorted(rows, key=int.bit_count)
+    """The rows in ascending order if they form a chain under inclusion, else
+    None.  A chain ascends as integers too, so a plain sort orders it."""
+    rows = sorted(rows)
     prev = 0
     for row in rows:
         if prev & ~row:

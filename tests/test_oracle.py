@@ -35,6 +35,7 @@ from bpmdual.oracle import (
     mc_chi_sum_coefficient,
     mobius_coefficient,
     mobius_transform,
+    packed_star_table,
     permitted_sum_coefficient,
     star_table,
     zeta_transform,
@@ -79,6 +80,14 @@ class TestStarTable:
         table = star_table(n)
         assert table.dtype == np.int8
         assert np.array_equal(table, permutation_scan_star(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_packed_matches_permutation_scan(self, n):
+        packed = packed_star_table(n)
+        assert packed.dtype == np.uint8
+        assert len(packed) == max(8, (1 << (n * n)) >> 3)  # padded to one word
+        values = np.unpackbits(packed, count=1 << (n * n), bitorder="little")
+        assert np.array_equal(values, permutation_scan_star(n))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_matcher(self, n):
@@ -190,6 +199,29 @@ def parity_with_noise(rng, bits, rate):
     return (parity ^ (rng.random(1 << bits) < rate)).astype(np.int8)
 
 
+def packed(values):
+    return np.packbits(values, bitorder="little")
+
+
+def up_closure(bits, seeds):
+    """0/1 array: 1 on every mask above one of seeds.  Its Mobius transform
+    is nonzero only on unions of seeds, at most 2^len(seeds) - 1 masks."""
+    idx = np.arange(1 << bits)
+    values = np.zeros(1 << bits, dtype=bool)
+    for seed in seeds:
+        values |= (idx & seed) == seed
+    return values.astype(np.int8)
+
+
+def assert_nonzeros_match(values, bits):
+    reference = mobius_transform(values, bits)
+    masks, coeffs = _mobius_nonzeros(packed(values), bits)
+    expected = np.flatnonzero(reference)
+    assert np.array_equal(masks, expected)
+    assert np.array_equal(coeffs, reference[expected])
+    return reference
+
+
 class TestMobiusNonzeros:
     @pytest.mark.parametrize("rate", [0.02, 0.3])
     def test_matches_mobius_transform_over_many_blocks(self, monkeypatch, rate):
@@ -197,17 +229,40 @@ class TestMobiusNonzeros:
         # bits above a block swept in int8.
         monkeypatch.setattr(oracle, "_BLOCK_ROWS", 1 << 8)
         values = parity_with_noise(np.random.default_rng(20261020), 20, rate)
-        reference = mobius_transform(values, 20)
+        reference = assert_nonzeros_match(values, 20)
         assert np.abs(reference).max() > 1 << 15  # an int16 block would wrap
-        masks, coeffs = _mobius_nonzeros(values.copy(), 20)
-        expected = np.flatnonzero(reference)
-        assert np.array_equal(masks, expected)
-        assert np.array_equal(coeffs, reference[expected])
+
+    @pytest.mark.parametrize("super_bits", [16, 13])
+    def test_superblocks_match_mobius_transform(self, monkeypatch, super_bits):
+        # 2^13-entry blocks in 2^super_bits-entry superblocks: the 20 - super_bits
+        # top bits by inclusion-exclusion, super_bits - 13 sweeps in int8.
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", 1 << 8)
+        monkeypatch.setattr(oracle, "_SUPER_BITS", super_bits)
+        values = parity_with_noise(np.random.default_rng(20261021), 20, 0.1)
+        assert_nonzeros_match(values, 20)
 
     def test_refuses_more_than_seven_int8_sweeps(self, monkeypatch):
+        # 2^12-entry blocks in 2^16-entry superblocks: 4 top bits plus 4 sweeps.
         monkeypatch.setattr(oracle, "_BLOCK_ROWS", 1 << 7)
+        monkeypatch.setattr(oracle, "_SUPER_BITS", 16)
         with pytest.raises(AssertionError):
-            _mobius_nonzeros(np.zeros(1 << 20, dtype=np.int8), 20)
+            _mobius_nonzeros(packed(np.zeros(1 << 20, dtype=np.int8)), 20)
+
+    def test_allocates_less_than_the_unpacked_input(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", 1 << 8)
+        monkeypatch.setattr(oracle, "_SUPER_BITS", 16)
+        seeds = [0x00013, 0x00C40, 0x31000, 0x80205, 0x4A800, 0x0F000]
+        values = up_closure(20, seeds)
+        packed_values = packed(values)
+        tracemalloc.start()
+        try:
+            masks, _ = _mobius_nonzeros(packed_values, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < len(masks) < 1 << len(seeds)
+        assert peak < values.nbytes
+        assert_nonzeros_match(values, 20)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_table_equals_full_transform(self, n):
@@ -504,8 +559,8 @@ class TestCoefficientTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # half of one int32 table of 2^25 entries
-        assert peak <= 64 << 20
+        # the packed table, one int8 superblock and its addend, one int32 block
+        assert peak <= 16 << 20
         assert len(table) == monomial_count(5) == 95161
         assert table.terms == materialize(5).terms
         rng = random.Random(20261018)
