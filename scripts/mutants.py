@@ -38,6 +38,7 @@ MODULE_TESTS = {
     "approxdeg.py": "tests/test_approxdeg.py",
     "oracle.py": "tests/test_oracle.py",
     "coeff.py": "tests/test_coeff.py",
+    "ordered.py": "tests/test_ordered.py",
     "bigraph.py": "tests/test_bigraph.py",
 }
 
@@ -165,11 +166,11 @@ MUTANTS = [
            "_in_place_sweep(acc, range(block_bits, super_bits), np.subtract)",
            "_in_place_sweep(acc, range(block_bits + 1, super_bits), np.subtract)",
            "the lowest lattice bit above a block is never swept"),
-    # --- coeff: the chain test and run lengths, and the branches of the closed form
-    Mutant("chain-test-reversed", "coeff.py",
+    # --- ordered: the chain test and run lengths of the closed form's profile
+    Mutant("chain-test-reversed", "ordered.py",
            "if prev & ~row:", "if row & ~prev:",
            "a row that grows is taken as breaking the chain"),
-    Mutant("single-first-run-merged", "coeff.py",
+    Mutant("single-first-run-merged", "ordered.py",
            "if row != prev and count:", "if row != prev and count > 1:",
            "a first run of one row is merged into the next run"),
     Mutant("closed-form-first-branch", "coeff.py",

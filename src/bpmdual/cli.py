@@ -90,29 +90,10 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    import numpy as np
+    from .oracle import verify_counts
 
-    from .oracle import _lattice_sweep, _mobius_nonzeros, _unpack, packed_star_table
-
-    n = args.n
-    packed = packed_star_table(n, huge=args.huge)
-    bits = n * n
-    size = 1 << bits
-    terms = materialize(n).terms
-    closed = np.zeros(size, dtype=np.int32)
-    closed[np.fromiter(terms, np.int64, len(terms))] = np.fromiter(terms.values(), np.int32, len(terms))
-    # The streamed nonzeros of the Mobius table against the closed form: a mask
-    # mismatches where the values differ, or where only the closed form is nonzero.
-    masks, coeffs = _mobius_nonzeros(packed, bits)
-    at = closed[masks]
-    failures = np.count_nonzero(at != coeffs) + np.count_nonzero(closed) - np.count_nonzero(at)
-    # int32 is exact where it matters: if closed equals the Mobius table, each
-    # partial zeta sum is a partial Mobius sum of the 0/1 table (|entry| <= 2^25);
-    # if not, the first count is already nonzero.
-    _lattice_sweep(closed, bits, np.add)
-    block = min(size, 1 << 20)
-    eval_failures = sum(np.count_nonzero(closed[start:start + block] != _unpack(packed, start, block))
-                        for start in range(0, size, block))
+    failures, eval_failures = verify_counts(args.n, args.huge, materialize)
+    size = 1 << (args.n * args.n)
     print(f"{size} coefficients compared against the closed form; {failures} mismatches")
     print(f"{size} evaluation points checked against the matching oracle; {eval_failures} mismatches")
     if failures or eval_failures:

@@ -14,10 +14,9 @@ precision integers.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 from .bigraph import BipartiteGraph
-from .ordered import Block, RepresentingSequence
+from .ordered import Block, RepresentingSequence, _chain_profile
 
 
 def binomial(a: int, b: int) -> int:
@@ -48,7 +47,7 @@ def sequence_coefficient(s: RepresentingSequence) -> int:
     return _closed_form(s.n, s.pairs)
 
 
-def _closed_form(n: int, pairs: Sequence[tuple[int, int]]) -> int:
+def _closed_form(n: int, pairs: tuple[tuple[int, int], ...]) -> int:
     """The closed form on valid (d_i, k_i) pairs, with k_0 = 0.
 
     Block i contributes f(d_{i+1} - k_{i-1}, d_i - k_{i-1}, k_i - k_{i-1}).
@@ -79,18 +78,8 @@ def dual_coefficient(g: BipartiteGraph) -> int:
     Zero whenever the left neighbour sets do not form a chain; otherwise the
     closed form evaluated on the degree profile.  Agrees with subset-lattice
     inversion on every graph with n <= 4 (exhaustively tested).
-
-    One pass over the ascending rows tests the chain and run-length encodes
-    the degrees: in a chain the degree changes exactly where the row does.
     """
-    pairs = []
-    prev = count = 0
-    for row in sorted(g.rows):
-        if prev & ~row:
-            return 0
-        if row != prev and count:
-            pairs.append((prev.bit_count(), count))
-        prev = row
-        count += 1
-    pairs.append((prev.bit_count(), count))
+    pairs = _chain_profile(g.rows)
+    if pairs is None:
+        return 0
     return _closed_form(g.n, pairs)

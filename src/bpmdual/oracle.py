@@ -10,7 +10,7 @@ against these exhaustively at small n.
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -257,11 +257,9 @@ _WORD_CHUNK = 1 << 13
 _UNPACK_CHUNK = 1 << 19
 
 
-def packed_star_table(n: int, huge: bool = False, out: np.ndarray | None = None) -> np.ndarray:
-    """star_table(n, huge) packed 8 masks to a byte in little bit order: mask
-    i is bit i % 8 of byte i // 8.  Bits past 2^(n^2) are padding up to one
-    8-byte word.  out, if given, is a uint8 buffer of 2^(n^2) / 8 bytes (n >= 3)
-    to fill and return.
+def _star_bits(n: int, bits: int, out: np.ndarray) -> np.ndarray:
+    """Fill the uint8 buffer out, of max(8, 2^bits / 8) bytes, with the packed
+    BPM* bits of side n and return it.
 
     BPM*(mask) = 0 iff the complement of mask holds a perfect matching, that
     is iff mask lies below full ^ p for a permutation mask p.  So those n!
@@ -270,9 +268,6 @@ def packed_star_table(n: int, huge: bool = False, out: np.ndarray | None = None)
     words at a time, over the six bits inside a word (the closure commutes
     across bits).  The table is independent of the per-graph matching code.
     """
-    bits = _table_bits(n, huge)
-    if out is None:
-        out = np.empty(max(8, (1 << bits) >> 3), dtype=np.uint8)
     words = out.view("<u8")
     words[...] = 0
     full = (1 << bits) - 1
@@ -299,18 +294,26 @@ def _unpack(packed: np.ndarray, start: int, count: int) -> np.ndarray:
     return np.unpackbits(piece, count=count, bitorder="little").view(np.int8)
 
 
-def star_table(n: int, huge: bool = False) -> np.ndarray:
+def star_table(n: int, huge: bool = False, packed: bool = False) -> np.ndarray:
     """BPM* values for every edge mask, as an int8 0/1 array of size 2^(n^2).
 
-    The packed bits of packed_star_table are built in the last eighth of the
-    table and unpacked front to back in chunks.  A chunk ends before the packed
-    bytes of the next one begin, so the table is the only large array.
+    With packed=True the same values come 8 masks to a uint8 byte in little
+    bit order (as np.packbits(table, bitorder="little")): mask i is bit i % 8
+    of byte i // 8, and bits past 2^(n^2) pad the array to one 8-byte word.
+
+    Unpacked, the packed bits are built in the last eighth of the table and
+    unpacked front to back in chunks.  A chunk ends before the packed bytes
+    of the next one begin, so the table is the only large array.
     """
-    size = 1 << _table_bits(n, huge)
+    bits = _table_bits(n, huge)
+    size = 1 << bits
+    if packed:
+        return _star_bits(n, bits, np.empty(max(8, size >> 3), dtype=np.uint8))
     table = np.empty(size, dtype=np.int8)
-    packed = packed_star_table(n, huge, table[-(size >> 3):].view(np.uint8) if size >= 64 else None)
+    tail = table[-(size >> 3):].view(np.uint8) if size >= 64 else np.empty(8, dtype=np.uint8)
+    star = _star_bits(n, bits, tail)
     for start in range(0, size, _UNPACK_CHUNK):
-        table[start:start + _UNPACK_CHUNK] = _unpack(packed, start, min(size, _UNPACK_CHUNK))
+        table[start:start + _UNPACK_CHUNK] = _unpack(star, start, min(size, _UNPACK_CHUNK))
     return table
 
 
@@ -414,5 +417,36 @@ def _mobius_nonzeros(packed: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndar
 def coefficient_table(n: int, huge: bool = False) -> DualPolynomial:
     """Complete exact coefficient table of BPM*_n via the fast transform,
     streamed from the packed BPM* bits: the unpacked table is never built."""
-    masks, coeffs = _mobius_nonzeros(packed_star_table(n, huge), n * n)
+    masks, coeffs = _mobius_nonzeros(star_table(n, huge, packed=True), n * n)
     return DualPolynomial(n, dict(zip(masks.tolist(), coeffs.tolist())))
+
+
+def verify_counts(
+    n: int, huge: bool, closed_form: Callable[[int], DualPolynomial]
+) -> tuple[int, int]:
+    """(coefficient mismatches, evaluation mismatches) of closed_form(n)
+    against the brute-force table over all 2^(n^2) masks; n is checked
+    against the table cap before closed_form runs.
+
+    A mask's coefficient mismatches where the streamed Mobius nonzeros and
+    the closed form differ, or where only the closed form is nonzero.  The
+    closed-form table is then zeta-transformed in place and compared block
+    by block with the BPM* bits it should sum to.
+    """
+    star = star_table(n, huge, packed=True)
+    bits = n * n
+    size = 1 << bits
+    terms = closed_form(n).terms
+    closed = np.zeros(size, dtype=np.int32)
+    closed[np.fromiter(terms, np.int64, len(terms))] = np.fromiter(terms.values(), np.int32, len(terms))
+    masks, coeffs = _mobius_nonzeros(star, bits)
+    at = closed[masks]
+    failures = np.count_nonzero(at != coeffs) + np.count_nonzero(closed) - np.count_nonzero(at)
+    # int32 is exact where it matters: if closed equals the Mobius table, each
+    # partial zeta sum is a partial Mobius sum of the 0/1 table (|entry| <= 2^25);
+    # if not, the first count is already nonzero.
+    _lattice_sweep(closed, bits, np.add)
+    block = min(size, _UNPACK_CHUNK)
+    eval_failures = sum(np.count_nonzero(closed[start:start + block] != _unpack(star, start, block))
+                        for start in range(0, size, block))
+    return int(failures), int(eval_failures)

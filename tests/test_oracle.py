@@ -35,7 +35,6 @@ from bpmdual.oracle import (
     mc_chi_sum_coefficient,
     mobius_coefficient,
     mobius_transform,
-    packed_star_table,
     permitted_sum_coefficient,
     star_table,
     zeta_transform,
@@ -83,7 +82,7 @@ class TestStarTable:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_packed_matches_permutation_scan(self, n):
-        packed = packed_star_table(n)
+        packed = star_table(n, packed=True)
         assert packed.dtype == np.uint8
         assert len(packed) == max(8, (1 << (n * n)) >> 3)  # padded to one word
         values = np.unpackbits(packed, count=1 << (n * n), bitorder="little")
