@@ -166,6 +166,16 @@ MUTANTS = [
            "_in_place_sweep(acc, range(block_bits, super_bits), np.subtract)",
            "_in_place_sweep(acc, range(block_bits + 1, super_bits), np.subtract)",
            "the lowest lattice bit above a block is never swept"),
+    # --- oracle: verify's superblock walk over the closed form
+    Mutant("verify-top-bits-outside", "oracle.py",
+           "inside = (keys >> super_bits & ~a) == 0", "inside = (keys >> super_bits & a) == 0",
+           "a superblock sums the terms whose top bits avoid its own, not lie inside them"),
+    Mutant("verify-superblock-offset-dropped", "oracle.py",
+           "_unpack(star, a << super_bits, span)", "_unpack(star, 0, span)",
+           "every superblock is compared with the BPM* bits of the first"),
+    Mutant("verify-key-intersection", "oracle.py",
+           "for m in table.keys() | terms.keys()", "for m in table.keys() & terms.keys()",
+           "a term that only one side has is never counted"),
     # --- ordered: the chain test and run lengths of the closed form's profile
     Mutant("chain-test-reversed", "ordered.py",
            "if prev & ~row:", "if row & ~prev:",

@@ -13,9 +13,11 @@ BENCHMARK.json (--tiny: one pass of the smallest inputs, for the tests).
 --cli ARGS starts a fresh interpreter with the checkout's src on PYTHONPATH
 that imports `bpmdual.cli` and `bpmdual.approxdeg` (the modules perfbench's
 setup_s imports) and then times one `bpmdual.cli.run(ARGS)` with its stdout
-captured, so imports are excluded. The run stops with an error if one
-side's runs print different stdout; where the two sides differ,
-`same_outcome` is false and a warning goes to stderr.
+captured, so imports are excluded from wall_s. peak_rss_mb is the child's
+ru_maxrss, imports included; Linux carries the launching process's peak
+across exec, so it never reads below this script's own (about 21 MB). The
+run stops with an error if one side's runs print different stdout; where
+the two sides differ, `same_outcome` is false and a warning goes to stderr.
 
 Only the last line of a run's stdout is read: the JSON object with its
 end-to-end metrics. The record written to --out (default BENCH_<workload>.json,
@@ -46,16 +48,18 @@ SIDES = ("parent", "change")
 # The line perfbench/run.py ends with, for one timed CLI call, plus the
 # captured stdout and its sha256.
 CLI_CHILD = """
-import contextlib, hashlib, io, json, sys, time
+import contextlib, hashlib, io, json, resource, sys, time
 import bpmdual.cli, bpmdual.approxdeg
 out = io.StringIO()
 start = time.perf_counter()
 with contextlib.redirect_stdout(out):
     code = bpmdual.cli.run(sys.argv[1:])
 wall = time.perf_counter() - start
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 text = out.getvalue()
 print(json.dumps({"correct": code == 0, "attempted": 1, "failed": int(code != 0),
-                  "metrics": {"wall_s": {"value": wall, "unit": "s"}},
+                  "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                              "peak_rss_mb": {"value": rss, "unit": "MB"}},
                   "stdout": text, "stdout_sha256": hashlib.sha256(text.encode()).hexdigest()}))
 """
 
@@ -176,8 +180,8 @@ def main(argv=None) -> int:
                      "--seconds", str(seconds)] + (["--tiny"] if args.tiny else []))
     else:
         cli_args = shlex.split(args.cli)
-        what = f"bpmdual.cli.run({cli_args}) in a fresh interpreter, imports excluded"
-        directions = {"wall_s": "lower"}
+        what = f"bpmdual.cli.run({cli_args}) in a fresh interpreter, imports excluded from wall_s"
+        directions = {"wall_s": "lower", "peak_rss_mb": "lower"}
         subject = {"cli": cli_args}
         label = "cli_" + "_".join(re.findall(r"[A-Za-z0-9.]+", args.cli))
 

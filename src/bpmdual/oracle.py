@@ -429,24 +429,31 @@ def verify_counts(
     against the table cap before closed_form runs.
 
     A mask's coefficient mismatches where the streamed Mobius nonzeros and
-    the closed form differ, or where only the closed form is nonzero.  The
-    closed-form table is then zeta-transformed in place and compared block
-    by block with the BPM* bits it should sum to.
+    the closed-form terms differ, over the union of their masks.  The closed
+    form is then zeta-transformed one superblock a of 2^_SUPER_BITS entries
+    at a time, as _mobius_nonzeros walks the table: a term counts in a iff
+    its bits above the superblock lie inside a's, and the swept superblock
+    is compared with the BPM* bits it should sum to.
     """
     star = star_table(n, huge, packed=True)
     bits = n * n
-    size = 1 << bits
     terms = closed_form(n).terms
-    closed = np.zeros(size, dtype=np.int32)
-    closed[np.fromiter(terms, np.int64, len(terms))] = np.fromiter(terms.values(), np.int32, len(terms))
     masks, coeffs = _mobius_nonzeros(star, bits)
-    at = closed[masks]
-    failures = np.count_nonzero(at != coeffs) + np.count_nonzero(closed) - np.count_nonzero(at)
-    # int32 is exact where it matters: if closed equals the Mobius table, each
-    # partial zeta sum is a partial Mobius sum of the 0/1 table (|entry| <= 2^25);
-    # if not, the first count is already nonzero.
-    _lattice_sweep(closed, bits, np.add)
-    block = min(size, _UNPACK_CHUNK)
-    eval_failures = sum(np.count_nonzero(closed[start:start + block] != _unpack(star, start, block))
-                        for start in range(0, size, block))
-    return int(failures), int(eval_failures)
+    table = dict(zip(masks.tolist(), coeffs.tolist()))
+    failures = sum(table.get(m, 0) != terms.get(m, 0) for m in table.keys() | terms.keys())
+    keys = np.fromiter(terms, np.int64, len(terms))
+    values = np.fromiter(terms.values(), np.int32, len(terms))
+    super_bits = min(bits, _SUPER_BITS)
+    span = 1 << super_bits
+    acc = np.empty(span, dtype=np.int32)
+    eval_failures = 0
+    # int32 is exact where it matters: if the closed form equals the Mobius
+    # table, each partial zeta sum is a partial Mobius sum of the 0/1 table
+    # (|entry| <= 2^25); if not, the first count is already nonzero.
+    for a in range(1 << (bits - super_bits)):
+        acc[...] = 0
+        inside = (keys >> super_bits & ~a) == 0  # add.at: terms share low bits
+        np.add.at(acc, keys[inside] & (span - 1), values[inside])
+        _lattice_sweep(acc, super_bits, np.add)
+        eval_failures += np.count_nonzero(acc != _unpack(star, a << super_bits, span))
+    return failures, int(eval_failures)

@@ -143,8 +143,8 @@ def _chain_profile(rows: tuple[int, ...]) -> tuple[tuple[int, int], ...] | None:
 
     A chain ascends as integers too, so a plain sort orders it, and its
     degree changes exactly where its row does.  So one pass over the sorted
-    rows tests the chain and does _run_lengths's encoding, which halves the
-    time per graph on the closed form's hot path.
+    rows tests the chain and run-length encodes the degree profile, which
+    halves the time per graph on the closed form's hot path.
     """
     pairs = []
     prev = count = 0
@@ -156,22 +156,6 @@ def _chain_profile(rows: tuple[int, ...]) -> tuple[tuple[int, int], ...] | None:
         prev = row
         count += 1
     pairs.append((prev.bit_count(), count))
-    return tuple(pairs)
-
-
-def _run_lengths(degrees) -> tuple[tuple[int, int], ...]:
-    """Run-length encode an ascending degree profile into the (d_i, k_i)
-    pairs of a representing sequence: k_i counts the rows of degree <= d_i."""
-    pairs = []
-    count = 0
-    prev = None
-    for deg in degrees:
-        if deg != prev and count:
-            pairs.append((prev, count))
-        prev = deg
-        count += 1
-    if count:
-        pairs.append((prev, count))
     return tuple(pairs)
 
 
@@ -215,10 +199,11 @@ def is_sorted_ordered(g: BipartiteGraph) -> bool:
 
 
 def representing_sequence(h: BipartiteGraph) -> RepresentingSequence:
-    """Run-length encode the left degree profile of a sorted ordered graph."""
+    """Run-length encode the left degree profile of a sorted ordered graph;
+    its rows are ascending prefixes, a chain that sorting leaves in order."""
     if not is_sorted_ordered(h):
         raise NotSortedOrderedError("rows are not ascending right-side prefixes")
-    return RepresentingSequence(h.n, _run_lengths(row.bit_count() for row in h.rows))
+    return RepresentingSequence(h.n, _chain_profile(h.rows))
 
 
 def permitted_edges(s: RepresentingSequence) -> PermittedEdgeSet:

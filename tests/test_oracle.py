@@ -37,10 +37,11 @@ from bpmdual.oracle import (
     mobius_transform,
     permitted_sum_coefficient,
     star_table,
+    verify_counts,
     zeta_transform,
 )
 from bpmdual.ordered import Block, is_sorted_ordered
-from bpmdual.polyspace import evaluate, materialize, monomial_count
+from bpmdual.polyspace import DualPolynomial, evaluate, materialize, monomial_count
 
 
 def g(n, *edges):
@@ -269,6 +270,59 @@ class TestMobiusNonzeros:
         nz = np.flatnonzero(coeffs)
         expected = dict(zip(nz.tolist(), coeffs[nz].tolist()))
         assert list(coefficient_table(n).terms.items()) == list(expected.items())
+
+
+def corrupted(n, terms, rng):
+    """terms with one coefficient +1, one term dropped and a spurious +3 on
+    a mask where the table is zero."""
+    out = dict(terms)
+    raised = rng.choice([m for m, c in sorted(out.items()) if c != -1])
+    out[raised] += 1
+    del out[rng.choice([m for m in sorted(out) if m != raised])]
+    out[rng.choice([m for m in range(1 << (n * n)) if m not in terms])] = 3
+    return out
+
+
+def dense_counts(n, terms):
+    """verify_counts by whole-table transforms: the closed form as a dense
+    int64 table against the Mobius transform of star_table, and its zeta
+    transform against star_table."""
+    bits = n * n
+    closed = np.zeros(1 << bits, dtype=np.int64)
+    closed[list(terms)] = list(terms.values())
+    star = star_table(n)
+    return (int(np.count_nonzero(mobius_transform(star, bits) != closed)),
+            int(np.count_nonzero(zeta_transform(closed, bits) != star)))
+
+
+class TestVerifyCounts:
+    @pytest.mark.parametrize("super_bits", [10, 12])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_dense_reference(self, monkeypatch, n, super_bits):
+        # 2^10-entry blocks; at n = 4 there are 2^(16 - super_bits) superblocks.
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", 1 << 5)
+        monkeypatch.setattr(oracle, "_SUPER_BITS", super_bits)
+        truth = materialize(n)
+        assert verify_counts(n, False, lambda _: truth) == (0, 0)
+        rng = random.Random(20261020 + n)
+        for _ in range(3):
+            wrong = DualPolynomial(n, corrupted(n, truth.terms, rng))
+            counts = verify_counts(n, False, lambda _: wrong)
+            assert counts == dense_counts(n, wrong.terms)
+            assert counts[0] == 3 and counts[1] > 0
+
+    def test_n5_allocates_no_dense_table(self):
+        # A dense closed form would be a 2^25-entry int32 table (128 MiB); the
+        # superblock walk stays below half of that.
+        prebuilt = materialize(5)
+        tracemalloc.start()
+        try:
+            counts = verify_counts(5, True, lambda n: prebuilt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == (0, 0)
+        assert peak < 64 << 20
 
 
 class TestMobius:

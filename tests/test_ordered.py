@@ -13,7 +13,7 @@ from bpmdual.bigraph import BipartiteGraph, all_graphs
 from bpmdual.ordered import (
     Block,
     RepresentingSequence,
-    _run_lengths,
+    _chain_profile,
     block_decompose,
     canonical_sort,
     is_degenerate,
@@ -149,7 +149,6 @@ class TestRepresentingSequence:
             assert representing_sequence(graph).decode() == graph
 
     @pytest.mark.parametrize("degrees, pairs", [
-        ([], ()),
         ([3], ((3, 1),)),
         ([2, 2, 2, 2], ((2, 4),)),
         ([0, 1, 2, 3], ((0, 1), (1, 2), (2, 3), (3, 4))),
@@ -157,8 +156,8 @@ class TestRepresentingSequence:
         ([0, 0, 2, 2, 2, 5], ((0, 2), (2, 5), (5, 6))),
     ])
     def test_run_lengths(self, degrees, pairs):
-        assert _run_lengths(degrees) == pairs
-        assert _run_lengths(iter(degrees)) == pairs
+        # the prefix rows of a sorted ordered graph with this degree profile
+        assert _chain_profile(tuple((1 << d) - 1 for d in degrees)) == pairs
 
     def test_run_sizes(self):
         assert seq(6, (0, 2), (2, 5), (5, 6)).run_sizes() == ([2, 3, 1], [0, 2, 3, 1])

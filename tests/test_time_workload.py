@@ -3,6 +3,8 @@
 import hashlib
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,8 +29,9 @@ print(json.dumps({"correct": True, "attempted": 2, "failed": 0,
                               "hits": {"value": 1, "unit": "count"}}}))
 """
 
-# A stand-in for bpmdual.cli: logs its side, then prints the side for the
-# argv ["side"] and otherwise how many runs both sides have made so far.
+# A stand-in for bpmdual.cli: logs its side, then prints how many runs both
+# sides have made so far for the argv ["count"] and otherwise the side.  For
+# ["rss"] the parent also fills 64 MiB that it holds until it returns.
 FAKE_CLI = """
 from pathlib import Path
 root = Path(__file__).resolve().parents[2]
@@ -36,7 +39,8 @@ def run(argv):
     log = root.parent / "order.log"
     with open(log, "a") as fh:
         fh.write(root.name + "\\n")
-    print(root.name if argv == ["side"] else len(log.read_text().split()))
+    ballast = b"x" * (64 << 20 if argv == ["rss"] and root.name == "parent" else 0)
+    print(len(log.read_text().split()) if argv == ["count"] else root.name)
     return 0
 """
 
@@ -126,8 +130,22 @@ def test_cli_sides_alternate_and_report_different_output(tmp_path, capsys):
         want = hashlib.sha256(f"{side}\n".encode()).hexdigest()
         assert all(p[side]["stdout_sha256"] == want for p in record["pairs"])
     assert record["commits"]["parent"]["src_sha256"] != record["commits"]["change"]["src_sha256"]
-    assert set(record["summary"]) == {"wall_s"}
+    assert set(record["summary"]) == {"wall_s", "peak_rss_mb"}
     check_summary(record, 3)
+
+
+def test_cli_records_the_peak_rss_of_each_call(tmp_path):
+    # Linux carries the launcher's peak RSS across exec into the child's
+    # ru_maxrss, so the script runs in a fresh interpreter, not under pytest.
+    out = tmp_path / "bench.json"
+    subprocess.run([sys.executable, str(SCRIPT), "--cli", "rss", *fake_packages(tmp_path),
+                    "--pairs", "2", "--out", str(out)], check=True, capture_output=True)
+    record = json.loads(out.read_text())
+    for pair in record["pairs"]:
+        rss = {side: pair[side]["metrics"]["peak_rss_mb"] for side in ("parent", "change")}
+        assert rss["parent"] > 64 and 0 < rss["change"] < rss["parent"] - 32
+    assert record["summary"]["peak_rss_mb"]["change_wins"] == 2
+    check_summary(record, 2)
 
 
 def test_cli_stops_when_one_side_disagrees_with_itself(tmp_path, capsys):
