@@ -40,6 +40,7 @@ MODULE_TESTS = {
     "coeff.py": "tests/test_coeff.py",
     "ordered.py": "tests/test_ordered.py",
     "bigraph.py": "tests/test_bigraph.py",
+    "polyspace.py": "tests/test_polyspace.py",
 }
 
 
@@ -198,6 +199,16 @@ MUTANTS = [
     Mutant("closed-form-last-factor", "coeff.py",
            "math.comb(n - prev_k - 1, n - pairs[-1][0])", "math.comb(n - prev_k, n - pairs[-1][0])",
            "the closing binomial has the wrong top"),
+    # --- polyspace: the per-term edge writer of both dumps
+    Mutant("writer-row-shift", "polyspace.py",
+           "if r := mask >> (i * n) & full:", "if r := mask >> i & full:",
+           "row i is read at bit i instead of bit i * n"),
+    Mutant("writer-key-without-row", "polyspace.py",
+           "[{} for _ in range(n)]", "[{}] * n",
+           "a row text is reused for every row with the same row mask"),
+    Mutant("writer-constant-term-blank", "polyspace.py",
+           "{edges or '-'}", "{edges}",
+           "the constant term's TSV line has no edge field"),
     # --- bigraph: from_mask
     Mutant("from-mask-unmasked-rows", "bigraph.py",
            "tuple([(mask >> s) & full for s in range(0, n * n, n)])",

@@ -18,6 +18,10 @@ ru_maxrss, imports included; Linux carries the launching process's peak
 across exec, so it never reads below this script's own (about 21 MB). The
 run stops with an error if one side's runs print different stdout; where
 the two sides differ, `same_outcome` is false and a warning goes to stderr.
+The child reports the sha256 of its whole stdout but only the first 4096
+characters of the text, which is all the record keeps: a launcher that held
+a `poly --n 5` dump per run would carry its growing peak RSS into every
+later child's ru_maxrss.
 
 Only the last line of a run's stdout is read: the JSON object with its
 end-to-end metrics. The record written to --out (default BENCH_<workload>.json,
@@ -46,7 +50,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 # The line perfbench/run.py ends with, for one timed CLI call, plus the
-# captured stdout and its sha256.
+# start of the captured stdout and the sha256 of all of it.
 CLI_CHILD = """
 import contextlib, hashlib, io, json, resource, sys, time
 import bpmdual.cli, bpmdual.approxdeg
@@ -60,7 +64,7 @@ text = out.getvalue()
 print(json.dumps({"correct": code == 0, "attempted": 1, "failed": int(code != 0),
                   "metrics": {"wall_s": {"value": wall, "unit": "s"},
                               "peak_rss_mb": {"value": rss, "unit": "MB"}},
-                  "stdout": text, "stdout_sha256": hashlib.sha256(text.encode()).hexdigest()}))
+                  "stdout": text[:4096], "stdout_sha256": hashlib.sha256(text.encode()).hexdigest()}))
 """
 
 
@@ -122,15 +126,15 @@ def summarize(pairs: list[dict], directions: dict[str, str]) -> dict:
 
 
 def _cli_outcome(pairs: list[dict]) -> dict:
-    """Each side's one stdout, and whether the sides agree; exits with an
-    error if one side's runs disagree."""
-    stdout = {}
+    """Each side's one stdout (its start), and whether the sides agree by the
+    sha256 of the whole; exits with an error if one side's runs disagree."""
+    stdout, digests = {}, {}
     for side in SIDES:
-        texts = {p[side].pop("stdout") for p in pairs}
-        if len(texts) != 1:
-            raise SystemExit(f"error: the {side} runs printed {len(texts)} different outputs")
-        stdout[side], = texts
-    same = stdout["parent"] == stdout["change"]
+        runs = {(p[side]["stdout_sha256"], p[side].pop("stdout")) for p in pairs}
+        if len(runs) != 1:
+            raise SystemExit(f"error: the {side} runs printed {len(runs)} different outputs")
+        (digests[side], stdout[side]), = runs
+    same = digests["parent"] == digests["change"]
     if not same:
         print("warning: parent and change print different output; "
               "their times do not compare the same work", file=sys.stderr)

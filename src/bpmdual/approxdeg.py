@@ -28,7 +28,7 @@ import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -520,14 +520,16 @@ def _min_feasible_degree(m: int, target: Fraction) -> tuple[int, tuple[int, ...]
 
     The search probes the least degree whose equilibrium seed has V(X) at
     or above the target, found by bisection, then walks down while probes
-    stay feasible or up until one is, on proven verdicts alone.  Every
-    estimate and every probe builds the seed of its degree.  The engine's
-    one cache: the result depends on (m, target) alone.
+    stay feasible or up until one is, on proven verdicts alone.  Each
+    degree's seed is built once per call: bisection only reads its ln V(X),
+    and each walk moves d one way, so no degree is probed twice.  The
+    engine's one cache across calls: the result depends on (m, target) alone.
     """
     if Fraction((1 << m) - 1) < target:
         return m, ()  # even full alternation cannot reach the target
     log_target = _log2_fraction(target) * math.log(2.0)
 
+    @cache
     def seed(d: int) -> _Exchange:
         return _Exchange(m, _equilibrium_int_points(m - 1, d + 1))
 

@@ -252,14 +252,12 @@ def _table_bits(n: int, huge: bool) -> int:
 _IN_WORD = [(np.uint64(1 << s), np.uint64(low)) for s, low in enumerate((
     0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
     0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF))]
-# Words per in-word pass (64 KiB), and entries per unpacked chunk (512 KiB).
+# Words per in-word pass (64 KiB).
 _WORD_CHUNK = 1 << 13
-_UNPACK_CHUNK = 1 << 19
 
 
-def _star_bits(n: int, bits: int, out: np.ndarray) -> np.ndarray:
-    """Fill the uint8 buffer out, of max(8, 2^bits / 8) bytes, with the packed
-    BPM* bits of side n and return it.
+def _star_bits(n: int, bits: int) -> np.ndarray:
+    """The packed BPM* bits of side n, as max(8, 2^bits / 8) uint8 bytes.
 
     BPM*(mask) = 0 iff the complement of mask holds a perfect matching, that
     is iff mask lies below full ^ p for a permutation mask p.  So those n!
@@ -268,8 +266,8 @@ def _star_bits(n: int, bits: int, out: np.ndarray) -> np.ndarray:
     words at a time, over the six bits inside a word (the closure commutes
     across bits).  The table is independent of the per-graph matching code.
     """
+    out = np.zeros(max(8, (1 << bits) >> 3), dtype=np.uint8)
     words = out.view("<u8")
-    words[...] = 0
     full = (1 << bits) - 1
     seeds = np.array([full ^ p for p in _permutation_masks(n)], dtype=np.int64)
     np.bitwise_or.at(words, seeds >> 6, np.left_shift(np.uint64(1), (seeds & 63).astype(np.uint64)))
@@ -300,21 +298,12 @@ def star_table(n: int, huge: bool = False, packed: bool = False) -> np.ndarray:
     With packed=True the same values come 8 masks to a uint8 byte in little
     bit order (as np.packbits(table, bitorder="little")): mask i is bit i % 8
     of byte i // 8, and bits past 2^(n^2) pad the array to one 8-byte word.
-
-    Unpacked, the packed bits are built in the last eighth of the table and
-    unpacked front to back in chunks.  A chunk ends before the packed bytes
-    of the next one begin, so the table is the only large array.
+    Unpacked, they are expanded in one pass and sit beside the table while it
+    is built.
     """
     bits = _table_bits(n, huge)
-    size = 1 << bits
-    if packed:
-        return _star_bits(n, bits, np.empty(max(8, size >> 3), dtype=np.uint8))
-    table = np.empty(size, dtype=np.int8)
-    tail = table[-(size >> 3):].view(np.uint8) if size >= 64 else np.empty(8, dtype=np.uint8)
-    star = _star_bits(n, bits, tail)
-    for start in range(0, size, _UNPACK_CHUNK):
-        table[start:start + _UNPACK_CHUNK] = _unpack(star, start, min(size, _UNPACK_CHUNK))
-    return table
+    star = _star_bits(n, bits)
+    return star if packed else _unpack(star, 0, 1 << bits)
 
 
 # A lattice sweep over bit b runs numpy's inner loop over 2^b contiguous
@@ -428,19 +417,17 @@ def verify_counts(
     against the brute-force table over all 2^(n^2) masks; n is checked
     against the table cap before closed_form runs.
 
-    A mask's coefficient mismatches where the streamed Mobius nonzeros and
-    the closed-form terms differ, over the union of their masks.  The closed
-    form is then zeta-transformed one superblock a of 2^_SUPER_BITS entries
-    at a time, as _mobius_nonzeros walks the table: a term counts in a iff
-    its bits above the superblock lie inside a's, and the swept superblock
-    is compared with the BPM* bits it should sum to.
+    The closed form is zeta-transformed one superblock a of 2^_SUPER_BITS
+    entries at a time, as _mobius_nonzeros walks the table: a term counts in
+    a iff its bits above the superblock lie inside a's, and the swept
+    superblock is compared with the BPM* bits it should sum to.  Only then
+    are the streamed Mobius nonzeros built, and a mask's coefficient
+    mismatches where they and the closed-form terms differ, over the union
+    of their masks.
     """
     star = star_table(n, huge, packed=True)
     bits = n * n
     terms = closed_form(n).terms
-    masks, coeffs = _mobius_nonzeros(star, bits)
-    table = dict(zip(masks.tolist(), coeffs.tolist()))
-    failures = sum(table.get(m, 0) != terms.get(m, 0) for m in table.keys() | terms.keys())
     keys = np.fromiter(terms, np.int64, len(terms))
     values = np.fromiter(terms.values(), np.int32, len(terms))
     super_bits = min(bits, _SUPER_BITS)
@@ -456,4 +443,8 @@ def verify_counts(
         np.add.at(acc, keys[inside] & (span - 1), values[inside])
         _lattice_sweep(acc, super_bits, np.add)
         eval_failures += np.count_nonzero(acc != _unpack(star, a << super_bits, span))
+    del acc, keys, values
+    masks, coeffs = _mobius_nonzeros(star, bits)
+    table = dict(zip(masks.tolist(), coeffs.tolist()))
+    failures = sum(table.get(m, 0) != terms.get(m, 0) for m in table.keys() | terms.keys())
     return failures, int(eval_failures)

@@ -51,35 +51,33 @@ class DualPolynomial:
         """(mask, coefficient) pairs ordered by (degree, mask)."""
         return sorted(self.terms.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
 
-    def _mask_edges(self, mask: int) -> list[tuple[int, int]]:
-        """1-based edges of a mask; ascending bits are row-major order."""
+    def _edge_texts(self, edge: str) -> Iterator[tuple[int, str]]:
+        """(coefficient, edge text) per term in sorted_items() order: the
+        nonempty row texts joined by ",", where row i with row mask r joins
+        edge % (i + 1, j + 1) over the set bits j of r.  Each row text is
+        written once per call, for the row masks that occur."""
         n = self.n
-        edges = []
-        while mask:
-            b = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            edges.append((b // n + 1, b % n + 1))
-        return edges
+        full = (1 << n) - 1
+        texts: list[dict[int, str]] = [{} for _ in range(n)]  # row i's texts by row mask
+        for mask, c in self.sorted_items():
+            parts = []
+            for i, row_texts in enumerate(texts):
+                if r := mask >> (i * n) & full:
+                    text = row_texts.get(r)
+                    if text is None:
+                        text = row_texts[r] = ",".join(
+                            edge % (i + 1, j + 1) for j in range(n) if r >> j & 1)
+                    parts.append(text)
+            yield c, ",".join(parts)
 
     def to_tsv(self) -> str:
-        lines = []
-        for mask, c in self.sorted_items():
-            if mask == 0:
-                edge_str = "-"
-            else:
-                edge_str = ",".join(f"({i},{j})" for i, j in self._mask_edges(mask))
-            lines.append(f"{c}\t{edge_str}")
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(f"{c}\t{edges or '-'}\n" for c, edges in self._edge_texts("(%d,%d)"))
 
     def to_json(self) -> str:
         # The text json.dumps(..., separators=(",", ":")) gives, written per term:
         # building ~10^6 nested edge lists first spends most of the time in the
         # garbage collector.
-        terms = ",".join(
-            '{"coeff":"%d","edges":[%s]}'
-            % (c, ",".join(f"[{i},{j}]" for i, j in self._mask_edges(mask)))
-            for mask, c in self.sorted_items()
-        )
+        terms = ",".join('{"coeff":"%d","edges":[%s]}' % t for t in self._edge_texts("[%d,%d]"))
         return f'{{"n":{self.n},"terms":[{terms}]}}'
 
     @staticmethod

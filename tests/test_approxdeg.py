@@ -220,6 +220,20 @@ class TestMinAndApproxDegree:
             _min_feasible_degree.cache_clear()
         assert bounds_calls
 
+    @pytest.mark.parametrize("m", [16, 32, 64, 100, 256])
+    @pytest.mark.parametrize("eps", [THIRD, Fraction(1, 1000)])
+    def test_each_degree_seeded_once(self, monkeypatch, m, eps):
+        # bisection only reads a seed's ln V(X), and each walk moves one
+        # way, so one search builds the seed of each degree it visits once
+        expected = min_and_approx_degree(m, eps)
+        counts = []
+        points = approxdeg._equilibrium_int_points
+        monkeypatch.setattr(approxdeg, "_equilibrium_int_points",
+                            lambda right_end, count: counts.append(count) or points(right_end, count))
+        assert _min_feasible_degree.__wrapped__(m, and_feasibility_target(eps))[0] == expected
+        assert expected + 1 in counts
+        assert len(counts) == len(set(counts)), sorted(counts)
+
     def test_out_of_regime_warns(self):
         with pytest.warns(UserWarning):
             min_and_approx_degree(4, Fraction(1, 10**9))

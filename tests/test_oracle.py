@@ -108,7 +108,8 @@ class TestStarTable:
         finally:
             tracemalloc.stop()
         assert table.nbytes == 1 << 25
-        assert peak <= table.nbytes + (2 << 20)
+        # the table plus the packed bytes it is unpacked from, plus 1 MiB
+        assert peak <= table.nbytes + (table.nbytes >> 3) + (1 << 20)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_mutating_a_table_leaves_later_calls_alone(self, n):

@@ -235,6 +235,23 @@ class TestSerialization:
         poly = materialize(3)
         assert DualPolynomial.from_json(poly.to_json()).terms == poly.terms
 
+    def test_sparse_n32_round_trip(self):
+        # high rows of n = 32, where a text for every row mask would be
+        # 32 * 2^32 texts; rows 31 and 32 share the row mask of column 1
+        n = 32
+
+        def edge(i, j):
+            return 1 << ((i - 1) * n + (j - 1))
+
+        terms = {0: 1, edge(32, 32): 5, edge(31, 1) | edge(32, 1) | edge(32, 32): -7,
+                 edge(1, 32) | edge(17, 5) | edge(17, 6): 3}
+        poly = DualPolynomial(n, terms)
+        text = poly.to_tsv()
+        assert text.splitlines()[:3] == ["1\t-", "5\t(32,32)", "3\t(1,32),(17,5),(17,6)"]
+        assert DualPolynomial.from_tsv(text, n).terms == terms
+        assert DualPolynomial.from_json(poly.to_json()).terms == terms
+        assert DualPolynomial(n).to_tsv() == ""
+
     def test_deterministic_output(self):
         a = materialize(3)
         b = materialize(3)

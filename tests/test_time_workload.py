@@ -30,8 +30,9 @@ print(json.dumps({"correct": True, "attempted": 2, "failed": 0,
 """
 
 # A stand-in for bpmdual.cli: logs its side, then prints how many runs both
-# sides have made so far for the argv ["count"] and otherwise the side.  For
-# ["rss"] the parent also fills 64 MiB that it holds until it returns.
+# sides have made so far for the argv ["count"], 5000 x's and the side for
+# ["long"], and otherwise the side.  For ["rss"] the parent also fills 64 MiB
+# that it holds until it returns.
 FAKE_CLI = """
 from pathlib import Path
 root = Path(__file__).resolve().parents[2]
@@ -40,7 +41,10 @@ def run(argv):
     with open(log, "a") as fh:
         fh.write(root.name + "\\n")
     ballast = b"x" * (64 << 20 if argv == ["rss"] and root.name == "parent" else 0)
-    print(len(log.read_text().split()) if argv == ["count"] else root.name)
+    if argv == ["long"]:
+        print("x" * 5000 + root.name)
+    else:
+        print(len(log.read_text().split()) if argv == ["count"] else root.name)
     return 0
 """
 
@@ -132,6 +136,18 @@ def test_cli_sides_alternate_and_report_different_output(tmp_path, capsys):
     assert record["commits"]["parent"]["src_sha256"] != record["commits"]["change"]["src_sha256"]
     assert set(record["summary"]) == {"wall_s", "peak_rss_mb"}
     check_summary(record, 3)
+
+
+def test_cli_keeps_the_start_of_a_long_output(tmp_path, capsys):
+    # only the first 4096 characters are kept, and the sides, which agree
+    # there, still differ by the sha256 of the whole output
+    out = tmp_path / "bench.json"
+    assert load_script().main(["--cli", "long", *fake_packages(tmp_path), "--pairs", "2",
+                               "--out", str(out)]) == 0
+    assert "warning: parent and change print different output" in capsys.readouterr().err
+    record = json.loads(out.read_text())
+    assert record["same_outcome"] is False
+    assert record["stdout"] == {"parent": "x" * 4096, "change": "x" * 4096}
 
 
 def test_cli_records_the_peak_rss_of_each_call(tmp_path):
