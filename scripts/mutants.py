@@ -97,6 +97,9 @@ MUTANTS = [
     Mutant("settle-slack", "approxdeg.py",
            "if abs(qv) > 1:", "if abs(qv) > 1 + Fraction(1, 10**6):",
            "the exact settling lets |q| up to 1 + 1e-6 pass as within [-1, 1]"),
+    Mutant("near-tie-against-itself", "approxdeg.py",
+           "_value_bounds(self.m, self._xf)[0]", "_value_bounds(self.m, xf)[0]",
+           "a near tie compares the candidate set with itself, so no near-tie swap is adopted"),
     # --- approxdeg: the witness check
     Mutant("witness-slack", "approxdeg.py",
            "if abs(values[k]) > eps:", "if abs(values[k]) > eps * (1 + Fraction(1, 10**6)):",

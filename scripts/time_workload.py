@@ -13,15 +13,15 @@ BENCHMARK.json (--tiny: one pass of the smallest inputs, for the tests).
 --cli ARGS starts a fresh interpreter with the checkout's src on PYTHONPATH
 that imports `bpmdual.cli` and `bpmdual.approxdeg` (the modules perfbench's
 setup_s imports) and then times one `bpmdual.cli.run(ARGS)` with its stdout
-captured, so imports are excluded from wall_s. peak_rss_mb is the child's
+redirected, so imports are excluded from wall_s. peak_rss_mb is the child's
 ru_maxrss, imports included; Linux carries the launching process's peak
 across exec, so it never reads below this script's own (about 21 MB). The
 run stops with an error if one side's runs print different stdout; where
 the two sides differ, `same_outcome` is false and a warning goes to stderr.
-The child reports the sha256 of its whole stdout but only the first 4096
-characters of the text, which is all the record keeps: a launcher that held
-a `poly --n 5` dump per run would carry its growing peak RSS into every
-later child's ru_maxrss.
+The child hashes its stdout as it is written and keeps only the first 4096
+characters of the text, which is all the record keeps: neither the child
+nor this launcher ever holds a whole `poly --n 5` dump, so peak_rss_mb
+counts the call's own memory and not its captured output.
 
 Only the last line of a run's stdout is read: the JSON object with its
 end-to-end metrics. The record written to --out (default BENCH_<workload>.json,
@@ -52,19 +52,27 @@ SIDES = ("parent", "change")
 # The line perfbench/run.py ends with, for one timed CLI call, plus the
 # start of the captured stdout and the sha256 of all of it.
 CLI_CHILD = """
-import contextlib, hashlib, io, json, resource, sys, time
+import contextlib, hashlib, json, resource, sys, time
 import bpmdual.cli, bpmdual.approxdeg
-out = io.StringIO()
+class Out:  # hashes what is written and keeps only its start
+    def __init__(self):
+        self.digest, self.head = hashlib.sha256(), ""
+    def write(self, text):
+        self.digest.update(text.encode())
+        self.head += text[:4096 - len(self.head)]
+        return len(text)
+    def flush(self):
+        pass
+out = Out()
 start = time.perf_counter()
 with contextlib.redirect_stdout(out):
     code = bpmdual.cli.run(sys.argv[1:])
 wall = time.perf_counter() - start
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-text = out.getvalue()
 print(json.dumps({"correct": code == 0, "attempted": 1, "failed": int(code != 0),
                   "metrics": {"wall_s": {"value": wall, "unit": "s"},
                               "peak_rss_mb": {"value": rss, "unit": "MB"}},
-                  "stdout": text[:4096], "stdout_sha256": hashlib.sha256(text.encode()).hexdigest()}))
+                  "stdout": out.head, "stdout_sha256": out.digest.hexdigest()}))
 """
 
 

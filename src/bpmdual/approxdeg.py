@@ -36,7 +36,6 @@ import numpy as np
 
 from ._errors import DomainError, NumericalFailure, SizeLimitError
 from .bigraph import BipartiteGraph, all_graphs, complement, has_perfect_matching
-from .oracle import bpm_star_value
 from .polyspace import materialize
 
 AND_M_MAX = 256  # direct-call cap; the degree-bound pipeline may exceed it
@@ -302,12 +301,9 @@ def _scaled_fraction(x: float, e: int) -> Fraction:
     return Fraction(float(x)) * Fraction(2) ** int(e)
 
 
-def _value_bounds(
-    m: int, xf: np.ndarray, denominators: tuple[np.ndarray, np.ndarray] | None = None
-) -> tuple[Fraction, Fraction]:
-    """Proven lower and upper bounds on V(X) for the nodes xf, whose
-    `_float_denominators` are built unless given."""
-    s, err, e = _enclose(xf, *(denominators or _float_denominators(xf)), np.array([float(m)]))
+def _value_bounds(m: int, xf: np.ndarray) -> tuple[Fraction, Fraction]:
+    """Proven lower and upper bounds on V(X) for the nodes xf."""
+    s, err, e = _enclose(xf, *_float_denominators(xf), np.array([float(m)]))
     lo, hi = _magnitude_bounds(s, err)
     return _scaled_fraction(lo[0], e[0]), _scaled_fraction(hi[0], e[0])
 
@@ -341,43 +337,24 @@ class _Scan:
 class _Exchange:
     """Single-point exchange minimizing V(X).
 
-    The engine holds one state per node set: the sorted nodes as float64
-    (`_xf`; grid points are integers far below 2^53) and the log of each
-    term of V(X) from `_term_logs`.  A swap builds the next state as new
+    The state is m, the sorted nodes as float64 (`_xf`; grid points are
+    integers far below 2^53) and the log of each term of V(X) from
+    `_term_logs`; nothing is cached.  A swap builds the next state as new
     arrays in O(d) vector work and adopts it only when V falls, so nothing
     is ever rolled back.  The logs only steer: verdicts come from
     `find_violations`, the engine's only route to exact arithmetic, and a
-    swap too close to call in logs asks the enclosure of V.  The |D_i|
-    enclosure and the interpolant are built on first use after each swap.
+    swap too close to call in logs asks the enclosure of V for both sets.
     """
 
     def __init__(self, m: int, xs: Sequence[int]):
         self.m = m
         self._xf = np.array(sorted(xs), dtype=np.float64)
         self._term_logs = _term_logs(m, self._xf)
-        self._denominators: tuple[np.ndarray, np.ndarray] | None = None
-        self._interpolant: UnivariatePolynomial | None = None
 
     @property
     def xs(self) -> list[int]:
         """The nodes as sorted Python ints."""
         return self._xf.astype(np.int64).tolist()
-
-    @property
-    def interpolant(self) -> UnivariatePolynomial:
-        """The alternating interpolant q of the current nodes, built on
-        first use after each swap."""
-        if self._interpolant is None:
-            self._interpolant = UnivariatePolynomial.alternating(self.m, self.xs)
-        return self._interpolant
-
-    @property
-    def denominators(self) -> tuple[np.ndarray, np.ndarray]:
-        """The enclosure of |D_i| (mantissa, exponent) of the current nodes,
-        built on first use after each swap."""
-        if self._denominators is None:
-            self._denominators = _float_denominators(self._xf)
-        return self._denominators
 
     def logv(self) -> float:
         return _log_sum(self._term_logs)
@@ -386,15 +363,15 @@ class _Exchange:
         """Enclose q at every free grid point and V(X).
 
         If no point is a proven violation |q| > 1, the points the bound
-        leaves undecided are settled by the exact `interpolant`.  The
-        verdict is infeasible if the bound on V(X) lies below the target,
-        feasible if V(X)/M >= target with M the proven grid maximum of |q|
-        (1 once every free point is proven within [-1, 1]).  Only when
-        nothing is left to swap and V(X) straddles the target is V(X) = q(m)
-        computed exactly."""
+        leaves undecided are settled by the exact interpolant, built once
+        if at all.  The verdict is infeasible if the bound on V(X) lies
+        below the target, feasible if V(X)/M >= target with M the proven
+        grid maximum of |q| (1 once every free point is proven within
+        [-1, 1]).  Only when nothing is left to swap and V(X) straddles the
+        target is V(X) = q(m) computed exactly."""
         points = np.setdiff1d(np.arange(float(self.m)), self._xf, assume_unique=True)
         ys = np.append(points, float(self.m))
-        s, err, e = _enclose(self._xf, *self.denominators, ys)
+        s, err, e = _enclose(self._xf, *_float_denominators(self._xf), ys)
         lo, hi = _magnitude_bounds(s, err)
         v_lo, v_hi = _scaled_fraction(lo[-1], e[-1]), _scaled_fraction(hi[-1], e[-1])
         s, e, lo, hi = s[:-1], e[:-1], lo[:-1], hi[:-1]
@@ -404,9 +381,10 @@ class _Exchange:
         idx = np.nonzero(proven)[0]
         idx = idx[np.argsort(-(np.log(lo[idx]) + e[idx] * math.log(2.0)), kind="stable")]
         violations = [(int(points[i]), 1 if s[i] > 0 else -1) for i in idx]
+        q = cache(lambda: UnivariatePolynomial.alternating(self.m, self.xs))
         if not violations:
             for i in np.nonzero(unsettled)[0]:
-                qv = self.interpolant.evaluate(int(points[i]))
+                qv = q().evaluate(int(points[i]))
                 if abs(qv) > 1:
                     violations.append((int(points[i]), 1 if qv > 0 else -1))
                 else:
@@ -423,7 +401,7 @@ class _Exchange:
         elif v_lo >= target * max_q:
             verdict = True
         elif not violations:  # max_q = 1: q itself is feasible
-            verdict = self.interpolant.evaluate(self.m) >= target
+            verdict = q().evaluate(self.m) >= target
         return _Scan(violations, verdict)
 
     def _replaced(self, pos: int, y: int) -> tuple[np.ndarray, np.ndarray]:
@@ -453,12 +431,6 @@ class _Exchange:
         xf[ins] = y
         return xf, logs
 
-    def _adopt(self, state: tuple[np.ndarray, np.ndarray]) -> None:
-        """Make a state from `_replaced` the current one."""
-        self._xf, self._term_logs = state
-        self._denominators = None
-        self._interpolant = None
-
     def swap_toward(self, y: int, s: int) -> bool:
         """Exchange y (where sign(q(y)) = s) into the node set so that V
         strictly decreases.
@@ -480,10 +452,9 @@ class _Exchange:
         before_log, after_log = self.logv(), _log_sum(logs)
         if after_log < before_log - _LOG_MARGIN or (
             after_log < before_log + _LOG_MARGIN
-            and _value_bounds(self.m, xf)[1]
-            < _value_bounds(self.m, self._xf, self.denominators)[0]
+            and _value_bounds(self.m, xf)[1] < _value_bounds(self.m, self._xf)[0]
         ):
-            self._adopt((xf, logs))
+            self._xf, self._term_logs = xf, logs
             return True
         return False
 
@@ -741,7 +712,9 @@ class BpmStarApproximant:
         return max(map(error, all_graphs(self.n)))
 
     def _certify(self) -> Fraction:
-        worst = self._max_error(lambda x: abs(self.evaluate(x) - bpm_star_value(x)))
+        worst = self._max_error(
+            lambda x: abs(self.evaluate(x) - (0 if has_perfect_matching(complement(x)) else 1))
+        )
         if worst > self.epsilon:
             raise NumericalFailure(
                 f"assembled approximant misses the budget: {worst} > {self.epsilon}"

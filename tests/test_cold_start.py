@@ -1,6 +1,6 @@
 """Only `verify`, `apxdeg` and the oracle methods of `coeff` need numpy:
 every other subcommand runs, with the same output, in an interpreter where
-importing numpy fails."""
+importing numpy fails.  `apxdeg` never loads the oracle layer."""
 
 import contextlib
 import io
@@ -28,6 +28,16 @@ for argv in json.loads(sys.argv[1]):
         code = bpmdual.cli.run(argv)
     results.append([code, out.getvalue()])
 print(json.dumps({"numpy_loaded_by_import": loaded, "results": results}))
+"""
+
+# Imports what the benchmark's set-up imports, runs one assembled apxdeg and
+# prints its exit code and whether bpmdual.oracle was loaded.
+APXDEG_CHILD = """
+import contextlib, io, sys
+import bpmdual.cli, bpmdual.approxdeg
+with contextlib.redirect_stdout(io.StringIO()):
+    code = bpmdual.cli.run(["apxdeg", "--n", "2", "--eps", "1/3", "--assemble"])
+print(code, "bpmdual.oracle" in sys.modules)
 """
 
 
@@ -74,3 +84,13 @@ def test_oracle_methods_run_with_numpy(tmp_path):
 def test_verify_still_runs_with_numpy():
     code, out = run_in_process(["verify", "--n", "2"])
     assert code == 0 and out.endswith("OK\n")
+
+
+def test_apxdeg_never_loads_the_oracle_layer():
+    # the degree engine and the n <= 3 assembly check against the matcher
+    # itself, so the brute-force oracles stay out of the process
+    child = subprocess.run([sys.executable, "-c", APXDEG_CHILD],
+                           env=dict(os.environ, PYTHONPATH=str(SRC)),
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["0", "False"]

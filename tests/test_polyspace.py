@@ -47,6 +47,16 @@ def mask_scan_materialize(n):
     return DualPolynomial(n, terms)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("build", [
+    materialize, monomial_count, max_abs_coefficient, bound_report,
+    pytest.param(lambda n: list(enumerate_sequences(n)), id="enumerate_sequences"),
+])
+def test_side_size_below_one_rejected(build, n):
+    with pytest.raises(ValueError, match=f"side size must be positive, got {n}"):
+        build(n)
+
+
 class TestEnumerateSequences:
     def test_n1(self):
         assert [s.pairs for s in enumerate_sequences(1)] == [((0, 1),), ((1, 1),)]

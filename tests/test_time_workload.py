@@ -31,9 +31,10 @@ print(json.dumps({"correct": True, "attempted": 2, "failed": 0,
 
 # A stand-in for bpmdual.cli: logs its side, then prints how many runs both
 # sides have made so far for the argv ["count"], 5000 x's and the side for
-# ["long"], and otherwise the side.  For ["rss"] the parent also fills 64 MiB
-# that it holds until it returns.
+# ["long"], 64 MiB of x's in 1 MiB pieces for ["flood"], and otherwise the
+# side.  For ["rss"] the parent also fills 64 MiB that it holds until it returns.
 FAKE_CLI = """
+import sys
 from pathlib import Path
 root = Path(__file__).resolve().parents[2]
 def run(argv):
@@ -43,6 +44,9 @@ def run(argv):
     ballast = b"x" * (64 << 20 if argv == ["rss"] and root.name == "parent" else 0)
     if argv == ["long"]:
         print("x" * 5000 + root.name)
+    elif argv == ["flood"]:
+        for _ in range(64):
+            sys.stdout.write("x" * (1 << 20))
     else:
         print(len(log.read_text().split()) if argv == ["count"] else root.name)
     return 0
@@ -162,6 +166,21 @@ def test_cli_records_the_peak_rss_of_each_call(tmp_path):
         assert rss["parent"] > 64 and 0 < rss["change"] < rss["parent"] - 32
     assert record["summary"]["peak_rss_mb"]["change_wins"] == 2
     check_summary(record, 2)
+
+
+def test_cli_does_not_hold_the_whole_output(tmp_path):
+    # 64 MiB of stdout is hashed as it is written, so neither side's peak
+    # RSS comes near the size of the output; run as in the test above
+    out = tmp_path / "bench.json"
+    subprocess.run([sys.executable, str(SCRIPT), "--cli", "flood", *fake_packages(tmp_path),
+                    "--pairs", "1", "--out", str(out)], check=True, capture_output=True)
+    record = json.loads(out.read_text())
+    assert record["same_outcome"] is True and record["stdout"]["change"] == "x" * 4096
+    want = hashlib.sha256(b"x" * (64 << 20)).hexdigest()
+    for side in ("parent", "change"):
+        (pair,) = record["pairs"]
+        assert pair[side]["stdout_sha256"] == want
+        assert pair[side]["metrics"]["peak_rss_mb"] < 40, side
 
 
 def test_cli_stops_when_one_side_disagrees_with_itself(tmp_path, capsys):
