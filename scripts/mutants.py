@@ -157,11 +157,23 @@ MUTANTS = [
            "buf = np.empty(block, dtype=np.int32)", "buf = np.empty(block, dtype=np.int16)",
            "the per-block transform wraps coefficients beyond 2^15 (none at n <= 5)"),
     Mutant("block-offset-dropped", "oracle.py",
-           "masks.append(nz + ((a << super_bits) + start))", "masks.append(nz + (a << super_bits))",
+           "masks.append(offsets + ((a << super_bits) + start))",
+           "masks.append(offsets + (a << super_bits))",
            "every block's nonzeros are reported as masks of its superblock's first block"),
     Mutant("superblock-offset-dropped", "oracle.py",
-           "masks.append(nz + ((a << super_bits) + start))", "masks.append(nz + start)",
+           "masks.append(offsets + ((a << super_bits) + start))", "masks.append(offsets + start)",
            "every superblock's nonzeros are reported as masks of the first superblock"),
+    # --- oracle: the pruned sweeps of a block
+    Mutant("prune-first-entry-only", "oracle.py",
+           "live = np.flatnonzero(rows.any(axis=1))", "live = np.flatnonzero(rows[:, 0])",
+           "a row is kept only when its first entry is nonzero"),
+    Mutant("prune-position-in-parent-dropped", "oracle.py",
+           "offsets = offsets[live >> (top - k)] + ((live & ((1 << (top - k)) - 1)) << k)",
+           "offsets = offsets[live >> (top - k)]",
+           "a kept row's offset loses its position within its parent row"),
+    Mutant("prune-sweep-one-bit-late", "oracle.py",
+           "range(k, top), np.subtract)", "range(k + 1, top), np.subtract)",
+           "the lowest bit of each pruning step is never swept"),
     Mutant("superblock-signs-swapped", "oracle.py",
            "op = np.subtract if (a ^ sub).bit_count() & 1 else np.add",
            "op = np.add if (a ^ sub).bit_count() & 1 else np.subtract",
@@ -194,13 +206,13 @@ MUTANTS = [
            "elif k < d:", "elif k <= d:",
            "a block with k_i = d_i is taken as zero"),
     Mutant("closed-form-sign", "coeff.py",
-           "value *= -math.comb(", "value *= math.comb(",
+           "value *= -_PASCAL[", "value *= _PASCAL[",
            "the general branch loses its sign"),
     Mutant("closed-form-inner-binomial", "coeff.py",
-           "math.comb(k - prev_k - 1, d - prev_k - 1)", "math.comb(k - prev_k, d - prev_k - 1)",
+           "_PASCAL[k - prev_k - 1][d - prev_k - 1]", "_PASCAL[k - prev_k][d - prev_k - 1]",
            "the second binomial of f has the wrong top"),
     Mutant("closed-form-last-factor", "coeff.py",
-           "math.comb(n - prev_k - 1, n - pairs[-1][0])", "math.comb(n - prev_k, n - pairs[-1][0])",
+           "_PASCAL[n - prev_k - 1][n - pairs[-1][0]]", "_PASCAL[n - prev_k][n - pairs[-1][0]]",
            "the closing binomial has the wrong top"),
     # --- polyspace: the per-term edge writer of both dumps
     Mutant("writer-row-shift", "polyspace.py",
@@ -214,13 +226,15 @@ MUTANTS = [
            "the constant term's TSV line has no edge field"),
     # --- bigraph: from_mask
     Mutant("from-mask-unmasked-rows", "bigraph.py",
-           "tuple([(mask >> s) & full for s in range(0, n * n, n)])",
-           "tuple([mask >> s for s in range(0, n * n, n)])",
+           "tuple([mask >> s & full for s in _ROW_SHIFTS[n]])",
+           "tuple([mask >> s for s in _ROW_SHIFTS[n]])",
            "rows keep the bits of the rows above them"),
     Mutant("from-mask-row-offset", "bigraph.py",
-           "tuple([(mask >> s) & full for s in range(0, n * n, n)])",
-           "tuple([(mask >> s) & full for s in range(0, n * (n - 1), n - 1)])",
+           "tuple(i * n for i in range(n))", "tuple(i * (n - 1) for i in range(n))",
            "rows are read at the wrong offsets"),
+    Mutant("from-mask-range-one-bit-wide", "bigraph.py",
+           "if mask >> n * n:", "if mask >> n * n + 1:",
+           "a mask with a bit at n^2 is cut to n^2 bits, not refused"),
 ]
 
 

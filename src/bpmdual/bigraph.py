@@ -27,7 +27,11 @@ def _check_side(n: int) -> None:
         raise SizeLimitError("n", n, N_MAX)
 
 
-@dataclass(frozen=True)
+# Per side n, the bit offset of each row in an n^2-bit edge mask.
+_ROW_SHIFTS = [tuple(i * n for i in range(n)) for n in range(N_MAX + 1)]
+
+
+@dataclass(frozen=True, slots=True)
 class BipartiteGraph:
     """Immutable balanced bipartite graph over the vertices of K_{n,n}."""
 
@@ -65,12 +69,16 @@ class BipartiteGraph:
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "BipartiteGraph":
         """Build from an n^2-bit edge mask; bit i*n+j is the 0-based edge (i, j)."""
-        _check_side(n)
+        if not 0 < n <= N_MAX:
+            _check_side(n)
+        if mask >> n * n:  # also every negative mask
+            raise ValueError(f"edge mask {mask} out of range for n={n}")
         full = (1 << n) - 1
-        # Each row is masked to n bits here, so the row checks of __init__ are skipped.
+        # Each row is masked to n bits here, so the row checks of __init__ are
+        # skipped: the slots are filled past the frozen __setattr__.
         g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "rows", tuple([(mask >> s) & full for s in range(0, n * n, n)]))
+        _SET_N(g, n)
+        _SET_ROWS(g, tuple([mask >> s & full for s in _ROW_SHIFTS[n]]))
         return g
 
     @property
@@ -105,6 +113,9 @@ class BipartiteGraph:
         for row in self.rows:
             lines.append("".join("1" if row >> j & 1 else "0" for j in range(self.n)))
         return "\n".join(lines)
+
+
+_SET_N, _SET_ROWS = BipartiteGraph.n.__set__, BipartiteGraph.rows.__set__
 
 
 def parse_graph(text: str) -> BipartiteGraph:

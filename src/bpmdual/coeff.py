@@ -15,8 +15,12 @@ from __future__ import annotations
 
 import math
 
-from .bigraph import BipartiteGraph
+from ._errors import SizeLimitError
+from .bigraph import N_MAX, BipartiteGraph
 from .ordered import Block, RepresentingSequence, _chain_profile
+
+# _PASCAL[a][b] = C(a, b) for 0 <= a, b <= N_MAX, 0 for b > a.
+_PASCAL = [[math.comb(a, b) for b in range(N_MAX + 1)] for a in range(N_MAX + 1)]
 
 
 def binomial(a: int, b: int) -> int:
@@ -43,33 +47,38 @@ def block_coefficient(block: Block) -> int:
 
 
 def sequence_coefficient(s: RepresentingSequence) -> int:
-    """Dual coefficient of the sorted ordered graph with sequence s."""
+    """Dual coefficient of the sorted ordered graph with sequence s, for
+    s.n <= N_MAX (the side cap of a graph, and the size of _PASCAL)."""
+    if s.n > N_MAX:
+        raise SizeLimitError("n", s.n, N_MAX)
     return _closed_form(s.n, s.pairs)
 
 
 def _closed_form(n: int, pairs: tuple[tuple[int, int], ...]) -> int:
-    """The closed form on valid (d_i, k_i) pairs, with k_0 = 0.
+    """The closed form on valid (d_i, k_i) pairs, with k_0 = 0 and n <= N_MAX.
 
-    Block i contributes f(d_{i+1} - k_{i-1}, d_i - k_{i-1}, k_i - k_{i-1}).
-    As d and k ascend strictly, the one binomial argument that can be
-    negative is k - d, which the branch tests; math.comb returns 0 for
-    b > a >= 0.  The top d_{i+1} - k_{i-1} - 1 of the d <= k_{i-1} branch is
-    never negative where it is reached: d_{i+1} <= k_{i-1} gives
-    d_i < k_{i-1}, which makes block i - 1's factor 0 and ends the loop.
+    Block i contributes f(d_{i+1} - k_{i-1}, d_i - k_{i-1}, k_i - k_{i-1}),
+    with every binomial read from _PASCAL, whose rows hold 0 for b > a.  A
+    negative index would wrap silently, but none is reached.  As d and k
+    ascend strictly, the one binomial argument that can be negative is
+    k - d, which the branch tests.  The top d_{i+1} - k_{i-1} - 1 of the
+    d <= k_{i-1} branch is never negative where it is reached:
+    d_{i+1} <= k_{i-1} gives d_i < k_{i-1}, which makes block i - 1's factor
+    0 and ends the loop.
     """
     value = 1
     prev_k = 0
     for (d, k), (d_next, _) in zip(pairs, pairs[1:]):
         if d <= prev_k:  # C(d_next - prev_k - 1, k - prev_k)
-            value *= math.comb(d_next - prev_k - 1, k - prev_k)
+            value *= _PASCAL[d_next - prev_k - 1][k - prev_k]
         elif k < d:  # C(d_next - d - 1, k - d) = 0
             return 0
         else:
-            value *= -math.comb(d_next - d - 1, k - d) * math.comb(k - prev_k - 1, d - prev_k - 1)
+            value *= -_PASCAL[d_next - d - 1][k - d] * _PASCAL[k - prev_k - 1][d - prev_k - 1]
         if value == 0:
             return 0
         prev_k = k
-    return value * math.comb(n - prev_k - 1, n - pairs[-1][0])
+    return value * _PASCAL[n - prev_k - 1][n - pairs[-1][0]]
 
 
 def dual_coefficient(g: BipartiteGraph) -> int:

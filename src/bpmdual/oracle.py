@@ -360,6 +360,32 @@ def zeta_transform(values: np.ndarray, bits: int) -> np.ndarray:
 # The int8 stage of _mobius_nonzeros builds one superblock of 2^_SUPER_BITS
 # entries (2 MiB) at a time, a whole number of blocks.
 _SUPER_BITS = 21
+# Its int32 stage sweeps a block _PRUNE_BITS lattice bits at a time, from the
+# top, and keeps only the rows of the bits still to sweep that hold a nonzero.
+_PRUNE_BITS = 4
+
+
+def _live_nonzeros(block: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, values) of the nonzero entries of the Mobius transform of
+    block, 2^bits contiguous entries swept in place, offsets ascending.
+
+    The sweeps of the low k bits act on each row of 2^k entries on its own,
+    as a bijection, so a row that is all zero once the bits above k are
+    swept stays all zero.  After each _PRUNE_BITS bits only the rows with a
+    nonzero entry are gathered and swept further, down to rows of one entry.
+    """
+    rows = block.reshape(1, -1)
+    offsets = np.zeros(1, dtype=np.int64)
+    top = bits
+    while top:
+        k = max(0, top - _PRUNE_BITS)
+        _in_place_sweep(rows.reshape(-1), range(k, top), np.subtract)
+        rows = rows.reshape(-1, 1 << k)
+        live = np.flatnonzero(rows.any(axis=1))
+        rows = rows[live]
+        offsets = offsets[live >> (top - k)] + ((live & ((1 << (top - k)) - 1)) << k)
+        top = k
+    return offsets, rows.reshape(-1)
 
 
 def _mobius_nonzeros(packed: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -375,8 +401,9 @@ def _mobius_nonzeros(packed: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndar
     then swept in place in int8.  That is exact: t plus those sweeps is the
     number b of bits above a block, every partial sum over 0/1 input then lies
     in [-2^(b-1), 2^(b-1)], inside [-64, 64] for b <= 7, and inside int32 for
-    b <= 31.  Each block is then widened into one int32 buffer, its own bits
-    are swept there, and its nonzeros are read while it is still cached.
+    b <= 31.  Each block is then widened into one int32 buffer and swept
+    there by _live_nonzeros, which drops the rows that have gone all zero
+    as it goes, so only the live part of a block is swept down to one bit.
     """
     size = 1 << bits
     block = min(size, _BLOCK_ROWS << _LOW_BITS)
@@ -396,10 +423,9 @@ def _mobius_nonzeros(packed: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndar
         _in_place_sweep(acc, range(block_bits, super_bits), np.subtract)
         for start in range(0, span, block):
             buf[...] = acc[start:start + block]
-            _lattice_sweep(buf, block_bits, np.subtract)
-            nz = np.flatnonzero(buf != 0)
-            masks.append(nz + ((a << super_bits) + start))
-            coeffs.append(buf[nz])
+            offsets, values = _live_nonzeros(buf, block_bits)
+            masks.append(offsets + ((a << super_bits) + start))
+            coeffs.append(values)
     return np.concatenate(masks), np.concatenate(coeffs)
 
 

@@ -90,15 +90,27 @@ class TestConstruction:
             BipartiteGraph.empty(33)
 
     def test_from_mask_equals_the_constructor(self):
-        for n, mask in ((1, 1), (3, 0b101_011_110), (5, (1 << 25) - 1), (2, -1), (2, 1 << 9)):
+        for n, mask in ((1, 1), (3, 0b101_011_110), (5, (1 << 25) - 1), (2, 0b1001), (32, 1 << 1023)):
             graph = BipartiteGraph.from_mask(n, mask)
             full = (1 << n) - 1
             rows = tuple((mask >> (i * n)) & full for i in range(n))
             assert graph == BipartiteGraph(n, rows) and hash(graph) == hash(BipartiteGraph(n, rows))
-        with pytest.raises(ValueError):
-            BipartiteGraph.from_mask(0, 0)
-        with pytest.raises(SizeLimitError):
-            BipartiteGraph.from_mask(33, 0)
+
+    @pytest.mark.parametrize("n, mask, error", [
+        (0, 0, ValueError),
+        (-1, 0, ValueError),
+        (33, 0, SizeLimitError),
+        (2, -1, ValueError),
+        (2, 1 << 4, ValueError),
+        (2, 17, ValueError),
+        (2, 1 << 10, ValueError),
+        (5, 1 << 25, ValueError),
+    ])
+    def test_from_mask_rejects(self, n, mask, error):
+        # A mask with a bit at n^2 or above, or a negative one, names an edge
+        # outside K_{n,n}: it is refused like an out-of-range edge, never cut.
+        with pytest.raises(error):
+            BipartiteGraph.from_mask(n, mask)
 
     def test_edges_are_one_based(self):
         assert g(2, (1, 2)).edges() == [(1, 2)]

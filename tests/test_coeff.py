@@ -1,8 +1,12 @@
 """Closed-form coefficient tests, cross-validated against the Mobius oracle."""
 
+import random
+
 import pytest
 
-from bpmdual.bigraph import BipartiteGraph, all_graphs
+from bpmdual import coeff
+from bpmdual._errors import SizeLimitError
+from bpmdual.bigraph import N_MAX, BipartiteGraph, all_graphs
 from bpmdual.coeff import (
     binomial,
     block_coefficient,
@@ -11,7 +15,7 @@ from bpmdual.coeff import (
     sequence_coefficient,
 )
 from bpmdual.oracle import mobius_coefficient
-from bpmdual.ordered import Block, block_decompose
+from bpmdual.ordered import Block, RepresentingSequence, block_decompose
 from bpmdual.polyspace import enumerate_sequences
 
 
@@ -118,6 +122,54 @@ class TestDualCoefficient:
         cap = 1 << (2 * n)
         for s in enumerate_sequences(n):
             assert abs(sequence_coefficient(s)) <= cap
+
+
+class NoWrap(list):
+    """A list that refuses the negative indices a plain list would wrap."""
+
+    def __getitem__(self, i):
+        assert i >= 0, f"negative index {i}"
+        return super().__getitem__(i)
+
+
+def factor_product(s):
+    """The closed form of the module docstring through binomial and f_factor."""
+    value = binomial(s.n - s.k(s.t - 1) - 1, s.n - s.d(s.t))
+    for i in range(1, s.t):
+        value *= f_factor(s.d(i + 1) - s.k(i - 1), s.d(i) - s.k(i - 1), s.k(i) - s.k(i - 1))
+    return value
+
+
+def random_sequence(rng, n):
+    t = rng.randint(1, n)
+    ds = sorted(rng.sample(range(n + 1), t))
+    ks = sorted(rng.sample(range(1, n), t - 1)) + [n]
+    return RepresentingSequence(n, tuple(zip(ds, ks)))
+
+
+class TestPascalTable:
+    def test_entries_are_binomials(self):
+        assert len(coeff._PASCAL) == N_MAX + 1
+        for a, row in enumerate(coeff._PASCAL):
+            assert row == [binomial(a, b) for b in range(N_MAX + 1)]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_closed_form_reads_no_negative_index(self, monkeypatch, n):
+        # Every representing sequence of side n, degenerate ones included:
+        # a negative index would wrap to the far end of a row or the table.
+        monkeypatch.setattr(coeff, "_PASCAL", NoWrap(NoWrap(row) for row in coeff._PASCAL))
+        for s in enumerate_sequences(n):
+            assert sequence_coefficient(s) == factor_product(s), s
+
+    def test_sides_up_to_the_cap(self, monkeypatch):
+        monkeypatch.setattr(coeff, "_PASCAL", NoWrap(NoWrap(row) for row in coeff._PASCAL))
+        rng = random.Random(20261020)
+        for n in (N_MAX - 1, N_MAX):
+            for _ in range(200):
+                s = random_sequence(rng, n)
+                assert sequence_coefficient(s) == factor_product(s), s
+        with pytest.raises(SizeLimitError):
+            sequence_coefficient(RepresentingSequence(N_MAX + 1, ((0, N_MAX + 1),)))
 
 
 class TestBlockDecomposition:

@@ -265,6 +265,37 @@ class TestMobiusNonzeros:
         assert peak < values.nbytes
         assert_nonzeros_match(values, 20)
 
+    def test_all_zero_input_has_no_terms(self, monkeypatch):
+        # 2^9-entry blocks, pruned at 5, 1 and 0 bits, 2^7 of them.
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", 1 << 4)
+        masks, coeffs = _mobius_nonzeros(packed(np.zeros(1 << 16, dtype=np.int8)), 16)
+        assert len(masks) == 0 and masks.dtype == np.int64 and coeffs.dtype == np.int32
+
+    def test_all_one_input_has_only_the_constant_term(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", 1 << 4)
+        masks, coeffs = _mobius_nonzeros(packed(np.ones(1 << 16, dtype=np.int8)), 16)
+        assert masks.tolist() == [0] and coeffs.tolist() == [1]
+
+    @pytest.mark.parametrize("term", [(1 << 16) - 1, 0b1010_0001_1111_1111, 0b0001_1111])
+    def test_term_at_the_end_of_its_rows(self, monkeypatch, term):
+        # One coefficient, at a mask whose low bits are all set: in every row
+        # that holds it while the block is pruned, only the last entry is nonzero.
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", 1 << 4)
+        values = up_closure(16, [term])
+        masks, coeffs = _mobius_nonzeros(packed(values), 16)
+        assert masks.tolist() == [term] and coeffs.tolist() == [1]
+        assert_nonzeros_match(values, 16)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_block_narrower_than_one_pruning_step(self, monkeypatch, n):
+        # Blocks of 2 bits: one pruning level that sweeps fewer than _PRUNE_BITS bits.
+        monkeypatch.setattr(oracle, "_LOW_BITS", 1)
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", 1 << 1)
+        assert oracle._PRUNE_BITS > 2
+        coeffs = mobius_transform(star_table(n), n * n)
+        nz = np.flatnonzero(coeffs)
+        assert list(coefficient_table(n).terms.items()) == list(zip(nz.tolist(), coeffs[nz].tolist()))
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_table_equals_full_transform(self, n):
         coeffs = mobius_transform(star_table(n), n * n)
