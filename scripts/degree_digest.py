@@ -2,7 +2,7 @@
 
     python3 scripts/degree_digest.py
 
-Runs `_min_feasible_degree` on
+Runs the uncached search `_search` on
   - m = 1..256 at eps in {1/3, 1/10, 1/1000},
   - the `bpm_degree_bound` grids m = n^2, n = 2..32, at eps in {1/3, 1/10, 1/100},
   - the n = 64 grid at eps = 1/3,
@@ -21,7 +21,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from bpmdual.approxdeg import (  # noqa: E402
-    _min_feasible_degree,
+    _search,
     and_feasibility_target,
     epsilon_prime,
 )
@@ -47,7 +47,7 @@ def main() -> None:
     degrees, results = hashlib.sha256(), hashlib.sha256()
     qs = queries()
     for m, target in qs:
-        degree, nodes = _min_feasible_degree(m, target)
+        degree, nodes = _search(m, target)
         degrees.update(f"{degree}\n".encode())
         results.update(f"{degree} {list(nodes)}\n".encode())
     print(f"queries {len(qs)}")

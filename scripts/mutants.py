@@ -7,7 +7,8 @@ The script copies this checkout into a temporary directory (under $TMPDIR),
 checks that each mutant's text occurs exactly once, runs the unmutated
 tests once, then applies one mutant at a time and runs pytest with -x on
 the mutant's module test file and the shared test files.  A mutant is
-killed when pytest fails.  Nothing in this checkout is modified.
+killed when pytest fails.  Every run fixes hypothesis's seed, so verdicts
+repeat from run to run.  Nothing in this checkout is modified.
 
 Some mutants cannot change any outcome that a test can see: a rounding
 constant cut below what the error analysis needs but still above the float
@@ -15,8 +16,9 @@ error of every case the tests meet, or a search step that the degree walk
 corrects.  They are marked as expected survivors.  The script prints one
 table row per mutant and exits 1 if a mutant survives that should have
 been killed, or if an expected survivor is killed (the list is then out
-of date).  It needs only pytest, and stays out of the tier-1 suite: one
-mutant costs one run of its test files, up to about 25 s.
+of date).  It needs pytest and hypothesis, and stays out of the tier-1
+suite (CI runs it as a step of its own): one mutant costs one run of its
+test files, up to about 25 s, about 5.5 min in all.
 """
 
 from __future__ import annotations
@@ -260,7 +262,8 @@ def run_tests(checkout: Path, tests: list[str]) -> bool:
     """True if pytest passes on the given test paths of the copy."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         "--hypothesis-seed=0", *tests],
         cwd=checkout, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     return result.returncode == 0
 

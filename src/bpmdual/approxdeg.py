@@ -250,12 +250,10 @@ def _float_denominators(xf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(mants), np.concatenate(exps)
 
 
-def _enclose(
-    xf: np.ndarray, dm: np.ndarray, de: np.ndarray, ys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _enclose(xf: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Proven bounds (s, err, e): q(y) lies in [s - err, s + err] * 2^e for
     each y in ys off the sorted nodes xf, q the interpolant of alternating
-    data ending with +1; |D_i| = dm * 2^de from `_float_denominators`.
+    data ending with +1; |D_i| = dm * 2^de comes from `_float_denominators`.
 
     Each term |t_i| = |omega(y)| / |y - x_i| / |D_i| takes d roundings for
     omega, d - 1 for |D_i|, one for 1/dm_i and two for the division and
@@ -270,6 +268,7 @@ def _enclose(
     # exact one (a (1 - gamma)^-2 factor) and the rounding of `err` itself
     coeff = (_gamma(2 * d + 2) * (1 + _gamma(d)) + _gamma(d)) * (1 + 2.0**-20)
     underflow = (d + 1) * 2.0**-1073
+    dm, de = _float_denominators(xf)
     low = de.min()
     inv = np.ldexp(1.0 / dm, low - de)
     buf = _ones_buffer(min(len(ys), _BLOCK), len(xf))
@@ -303,7 +302,7 @@ def _scaled_fraction(x: float, e: int) -> Fraction:
 
 def _value_bounds(m: int, xf: np.ndarray) -> tuple[Fraction, Fraction]:
     """Proven lower and upper bounds on V(X) for the nodes xf."""
-    s, err, e = _enclose(xf, *_float_denominators(xf), np.array([float(m)]))
+    s, err, e = _enclose(xf, np.array([float(m)]))
     lo, hi = _magnitude_bounds(s, err)
     return _scaled_fraction(lo[0], e[0]), _scaled_fraction(hi[0], e[0])
 
@@ -371,7 +370,7 @@ class _Exchange:
         target is V(X) = q(m) computed exactly."""
         points = np.setdiff1d(np.arange(float(self.m)), self._xf, assume_unique=True)
         ys = np.append(points, float(self.m))
-        s, err, e = _enclose(self._xf, *_float_denominators(self._xf), ys)
+        s, err, e = _enclose(self._xf, ys)
         lo, hi = _magnitude_bounds(s, err)
         v_lo, v_hi = _scaled_fraction(lo[-1], e[-1]), _scaled_fraction(hi[-1], e[-1])
         s, e, lo, hi = s[:-1], e[:-1], lo[:-1], hi[:-1]
@@ -483,8 +482,7 @@ def _probe(engine: _Exchange, target: Fraction) -> bool:
     raise NumericalFailure(f"exchange did not converge at m={engine.m}, d={d}")
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _min_feasible_degree(m: int, target: Fraction) -> tuple[int, tuple[int, ...]]:
+def _search(m: int, target: Fraction) -> tuple[int, list[int]]:
     """Least degree whose best approximation error meets the target ratio
     (callers pass (1 - eps)/eps >= 2), and the node set that proved it
     feasible (empty for m).
@@ -493,11 +491,10 @@ def _min_feasible_degree(m: int, target: Fraction) -> tuple[int, tuple[int, ...]
     or above the target, found by bisection, then walks down while probes
     stay feasible or up until one is, on proven verdicts alone.  Each
     degree's seed is built once per call: bisection only reads its ln V(X),
-    and each walk moves d one way, so no degree is probed twice.  The
-    engine's one cache across calls: the result depends on (m, target) alone.
+    and each walk moves d one way, so no degree is probed twice.
     """
     if Fraction((1 << m) - 1) < target:
-        return m, ()  # even full alternation cannot reach the target
+        return m, []  # even full alternation cannot reach the target
     log_target = _log2_fraction(target) * math.log(2.0)
 
     @cache
@@ -518,7 +515,14 @@ def _min_feasible_degree(m: int, target: Fraction) -> tuple[int, tuple[int, ...]
         d += 1
         while not _probe(engine := seed(d), target):
             d += 1
-    return d, tuple(engine.xs)
+    return d, engine.xs
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _min_feasible_degree(m: int, target: Fraction) -> int:
+    """The degree `_search` finds, memoized: the engine's one cache across
+    calls holds no node sets, and the degree depends on (m, target) alone."""
+    return _search(m, target)[0]
 
 
 def and_feasibility_target(eps: Fraction) -> Fraction:
@@ -539,7 +543,7 @@ def min_and_approx_degree(m: int, eps, tolerance: Fraction = DEFAULT_TOLERANCE) 
             f"epsilon below the cited regime 2^(-m log2 m) for m={m}; computing anyway",
             stacklevel=2,
         )
-    return _min_feasible_degree(m, and_feasibility_target(eps))[0]
+    return _min_feasible_degree(m, and_feasibility_target(eps))
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +559,7 @@ def build_and_approximant(m: int, eps) -> UnivariatePolynomial:
     integer point in exact arithmetic against eps itself, without slack.
     """
     eps = _checked_and_args(m, eps)
-    degree, nodes = _min_feasible_degree(m, and_feasibility_target(eps))
+    degree, nodes = _search(m, and_feasibility_target(eps))
     if degree >= m:
         poly = UnivariatePolynomial(m, tuple(range(m + 1)), (Fraction(0),) * m + (Fraction(1),))
         values = poly.integer_values()
@@ -564,7 +568,7 @@ def build_and_approximant(m: int, eps) -> UnivariatePolynomial:
         q = alternating.integer_values()
         grid_max = max(abs(v) for v in q[:m])
         scale = eps / grid_max if q[m] / grid_max <= (1 + eps) / eps else 1 / q[m]
-        poly = UnivariatePolynomial(m, nodes, tuple(scale * s for s in alternating.values))
+        poly = UnivariatePolynomial(m, alternating.nodes, tuple(scale * s for s in alternating.values))
         values = [scale * v for v in q]
     _check_witness(values, eps)
     return poly
@@ -638,7 +642,7 @@ def bpm_degree_bound(n: int, eps) -> DegreeBoundReport:
         raise SizeLimitError("n", n, BPM_N_MAX)
     ep = epsilon_prime(n, eps)
     m = n * n
-    degree, _ = _min_feasible_degree(m, and_feasibility_target(ep))
+    degree = _min_feasible_degree(m, and_feasibility_target(ep))
     threshold = _ceil_n_to_3_2(n)
     return DegreeBoundReport(
         n=n,

@@ -20,11 +20,12 @@ N_MAX = 32
 HETYEI_N_MAX = 5
 
 
-def _check_side(n: int) -> None:
+def _check_side(n: int, cap: int = N_MAX) -> None:
+    """Raise unless 1 <= n <= cap."""
     if n < 1:
         raise ValueError(f"side size must be positive, got {n}")
-    if n > N_MAX:
-        raise SizeLimitError("n", n, N_MAX)
+    if n > cap:
+        raise SizeLimitError("n", n, cap)
 
 
 # Per side n, the bit offset of each row in an n^2-bit edge mask.

@@ -161,18 +161,18 @@ def _cmd_apxdeg(args) -> int:
         "certified": report.certified,
         "eps_in_regime": report.eps_in_regime,
     }
+    if args.assemble:
+        approx = assemble_bpm_approximant(args.n, args.eps)
+        rows["assembled_degree"] = approx.degree
+        rows["assembled_max_error"] = str(approx.max_error)
+        rows["assembled_dual_max_error"] = str(approx.dual_max_error())
+        rows["exact_terms"] = len(approx.exact_terms)
+        rows["approximated_terms"] = len(approx.approx_terms)
     if args.format == "json":
         print(json.dumps(rows, separators=(",", ":")))
     else:
         for key, value in rows.items():
             print(f"{key}\t{value}")
-    if args.assemble:
-        approx = assemble_bpm_approximant(args.n, args.eps)
-        print(f"assembled_degree\t{approx.degree}")
-        print(f"assembled_max_error\t{approx.max_error}")
-        print(f"assembled_dual_max_error\t{approx.dual_max_error()}")
-        print(f"exact_terms\t{len(approx.exact_terms)}")
-        print(f"approximated_terms\t{len(approx.approx_terms)}")
     return 0
 
 

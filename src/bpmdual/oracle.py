@@ -240,10 +240,7 @@ def _elementary_sum(n: int, m: int, free: int) -> int:
 
 def _table_bits(n: int, huge: bool) -> int:
     """n^2, once n is a valid side within the table cap."""
-    _check_side(n)
-    cap = TABLE_N_MAX_HUGE if huge else TABLE_N_MAX
-    if n > cap:
-        raise SizeLimitError("n", n, cap)
+    _check_side(n, TABLE_N_MAX_HUGE if huge else TABLE_N_MAX)
     return n * n
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate, combinations
 from typing import Iterator
 
-from ._errors import DimensionMismatchError, SizeLimitError
-from .bigraph import N_MAX, BipartiteGraph
+from ._errors import DimensionMismatchError
+from .bigraph import N_MAX, BipartiteGraph, _check_side
 from .coeff import binomial, f_factor, sequence_coefficient
 from .ordered import RepresentingSequence
 
@@ -145,14 +145,6 @@ class DualPolynomial:
         return cls(n, _nonzero(terms))
 
 
-def _check_n(n: int, cap: int) -> None:
-    """Raise unless 1 <= n <= cap."""
-    if n < 1:
-        raise ValueError(f"side size must be positive, got {n}")
-    if n > cap:
-        raise SizeLimitError("n", n, cap)
-
-
 def _nonzero(terms: dict[int, int]) -> dict[int, int]:
     """The terms without zero coefficients, which a dump may spell out."""
     return terms if all(terms.values()) else {m: c for m, c in terms.items() if c}
@@ -183,7 +175,7 @@ def evaluate(p: DualPolynomial, x: BipartiteGraph) -> int:
 def enumerate_sequences(n: int) -> Iterator[RepresentingSequence]:
     """Yield every representing sequence for side n, in lexicographic order
     of the flattened (d_1, k_1, d_2, k_2, ...) tuple."""
-    _check_n(n, ENUMERATION_N_MAX)
+    _check_side(n, ENUMERATION_N_MAX)
 
     def extend(prefix: list[tuple[int, int]], last_d: int, last_k: int):
         for d in range(last_d + 1, n + 1):
@@ -257,13 +249,13 @@ def _sequence_dp(n: int) -> tuple[int, int]:
 
 def monomial_count(n: int) -> int:
     """Number of monomials of the dual polynomial, by orbit counting."""
-    _check_n(n, COUNT_N_MAX)
+    _check_side(n, COUNT_N_MAX)
     return _sequence_dp(n)[0]
 
 
 def max_abs_coefficient(n: int) -> int:
     """Largest coefficient magnitude over all monomials."""
-    _check_n(n, COUNT_N_MAX)
+    _check_side(n, COUNT_N_MAX)
     return _sequence_dp(n)[1]
 
 
@@ -291,7 +283,7 @@ def materialize(n: int) -> DualPolynomial:
     distinct graphs: the orbit has `labeled_count(s)` members, and every
     totally ordered graph lies in the orbit of its own sequence.
     """
-    _check_n(n, MATERIALIZE_N_MAX)
+    _check_side(n, MATERIALIZE_N_MAX)
     row_bits = [1 << (i * n) for i in range(n)]
     col_bits = [1 << j for j in range(n)]
     terms: dict[int, int] = {}

@@ -217,8 +217,16 @@ class TestApxdeg:
 
     def test_json_format(self, capsys):
         assert run(["apxdeg", "--n", "2", "--eps", "1/3", "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out.strip().split("\n")[0])
+        payload = json.loads(capsys.readouterr().out)
         assert payload["threshold"] == 3
+
+    def test_json_assemble_is_one_object(self, capsys):
+        assert run(["apxdeg", "--n", "2", "--eps", "1/3", "--format", "json", "--assemble"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["threshold"] == 3
+        assert payload["assembled_max_error"] == payload["assembled_dual_max_error"]
+        assert isinstance(payload["assembled_max_error"], str)
+        assert payload["exact_terms"] + payload["approximated_terms"] == 9  # monomials at n = 2
 
     def test_bad_eps(self, capsys):
         assert run(["apxdeg", "--n", "2", "--eps", "1/2"]) == 2
