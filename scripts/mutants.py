@@ -8,7 +8,11 @@ checks that each mutant's text occurs exactly once, runs the unmutated
 tests once, then applies one mutant at a time and runs pytest with -x on
 the mutant's module test file and the shared test files.  A mutant is
 killed when pytest fails.  Every run fixes hypothesis's seed, so verdicts
-repeat from run to run.  Nothing in this checkout is modified.
+repeat from run to run.  Each pytest run gets MEMORY_LIMIT bytes of address
+space and TIME_LIMIT seconds: a mutant that lifts a size cap can start a
+computation far beyond what the machine holds, so a run stopped by either
+limit counts as killed, with the limit named in the table's last column.
+Nothing in this checkout is modified.
 
 Some mutants cannot change any outcome that a test can see: a rounding
 constant cut below what the error analysis needs but still above the float
@@ -24,6 +28,7 @@ test files, up to about 25 s, about 5.5 min in all.
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -33,6 +38,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+MEMORY_LIMIT = 2 << 30  # bytes of address space for one pytest run
+TIME_LIMIT = 300  # seconds for one pytest run; an unmutated run takes about 1 min
 
 # The files every mutant runs besides its module's own test file.
 SHARED_TESTS = ("tests/test_acceptance.py", "tests/test_properties.py", "tests/test_cli.py")
@@ -102,6 +109,18 @@ MUTANTS = [
     Mutant("near-tie-against-itself", "approxdeg.py",
            "_value_bounds(self.m, self._xf)[0]", "_value_bounds(self.m, xf)[0]",
            "a near tie compares the candidate set with itself, so no near-tie swap is adopted"),
+    # --- approxdeg: the exact evaluator
+    Mutant("weights-binomial-dropped", "approxdeg.py",
+           "* binomial\n", "* 1\n",
+           "the weights lose the factor C(s, x_i - x_0) of s! / |D_i|"),
+    Mutant("weights-span-from-zero", "approxdeg.py",
+           "x0, span = self.nodes[0], self.nodes[-1] - self.nodes[0]",
+           "x0, span = 0, self.nodes[-1]",
+           "the weights and L carry x_d! in place of (x_d - x_0)!: values stay exact,"
+           " the integers grow with the gap below the lowest node"),
+    Mutant("evaluate-denominator-power", "approxdeg.py",
+           "t.denominator**self.degree", "t.denominator ** (self.degree - 1)",
+           "a non-integer point t = p/q divides by q^(d - 1), not q^d"),
     # --- approxdeg: the witness check
     Mutant("witness-slack", "approxdeg.py",
            "if abs(values[k]) > eps:", "if abs(values[k]) > eps * (1 + Fraction(1, 10**6)):",
@@ -258,14 +277,29 @@ def check_texts(mutants: list[Mutant], checkout: Path) -> list[str]:
     return problems
 
 
-def run_tests(checkout: Path, tests: list[str]) -> bool:
-    """True if pytest passes on the given test paths of the copy."""
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
+def run_tests(checkout: Path, tests: list[str]) -> tuple[bool, str]:
+    """Whether pytest passes on the given test paths of the copy, and the
+    limit that stopped a failed run ('' when the tests themselves failed)."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-         "--hypothesis-seed=0", *tests],
-        cwd=checkout, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    return result.returncode == 0
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "--hypothesis-seed=0", *tests],
+            cwd=checkout, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            timeout=TIME_LIMIT, preexec_fn=_limit_memory)
+    except subprocess.TimeoutExpired:
+        return False, f"stopped after {TIME_LIMIT} s"
+    if result.returncode == 0:
+        return True, ""
+    if result.returncode < 0:
+        return False, f"stopped by signal {-result.returncode}"
+    if b"MemoryError" in result.stdout:
+        return False, f"stopped at the {MEMORY_LIMIT >> 30} GiB memory limit"
+    return False, ""
 
 
 def tests_for(mutant: Mutant) -> list[str]:
@@ -280,12 +314,14 @@ def main() -> int:
             print("\n".join(problems), file=sys.stderr)
             return 2
         baseline = sorted({p for m in MUTANTS for p in tests_for(m)})
-        if not run_tests(checkout, baseline):
-            print("error: the unmutated tests fail", file=sys.stderr)
+        passed, stopped = run_tests(checkout, baseline)
+        if not passed:
+            print("error: the unmutated tests fail", f"({stopped})" if stopped else "",
+                  file=sys.stderr)
             return 2
 
-        print("| mutant | file | result | expected | s |")
-        print("|---|---|---|---|---|")
+        print("| mutant | file | result | expected | s | note |")
+        print("|---|---|---|---|---|---|")
         mismatches = 0
         for mutant in MUTANTS:
             path = checkout / "src" / "bpmdual" / mutant.file
@@ -293,15 +329,15 @@ def main() -> int:
             path.write_text(source.replace(mutant.old, mutant.new))
             start = time.perf_counter()
             try:
-                killed = not run_tests(checkout, tests_for(mutant))
+                passed, stopped = run_tests(checkout, tests_for(mutant))
             finally:
                 path.write_text(source)
             seconds = time.perf_counter() - start
             expected = "survives" if mutant.survives else "killed"
-            result = "killed" if killed else "survives"
+            result = "survives" if passed else "killed"
             mismatches += result != expected
-            print(f"| {mutant.name} | {mutant.file} | {result} | {expected} | {seconds:.1f} |",
-                  flush=True)
+            print(f"| {mutant.name} | {mutant.file} | {result} | {expected} | {seconds:.1f}"
+                  f" | {stopped} |", flush=True)
     return 1 if mismatches else 0
 
 

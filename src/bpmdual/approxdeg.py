@@ -79,21 +79,49 @@ class UnivariatePolynomial:
         return len(self.nodes) - 1
 
     @cached_property
-    def _abs_d(self) -> list[int]:
-        return _abs_denominators(self.nodes)
+    def _weights(self) -> tuple[list[int], int]:
+        """Integer weights w_i and one denominator L with w_i / L = v_i / D_i.
+
+        With s = x_d - x_0, the differences from x_i to the other nodes and
+        to the free points y of [x_0, x_d] are 1..x_i - x_0 and 1..x_d - x_i,
+        so |D_i| prod_y |x_i - y| C(s, x_i - x_0) = s!.  For v_i = n_i/den_i
+        and V = lcm(den_i), L = s! V and w_i = sign(D_i) n_i (V / den_i)
+        C(s, x_i - x_0) prod_y |x_i - y|: no gcd, no division of big integers."""
+        x0, span = self.nodes[0], self.nodes[-1] - self.nodes[0]
+        nodes = set(self.nodes)
+        free, binomials, c = [], [], 1
+        for k in range(span + 1):  # c = C(s, k), one small step per point
+            if x0 + k in nodes:
+                binomials.append(c)
+            else:
+                free.append(x0 + k)
+            c = c * (span - k) // (k + 1)
+        dens = [v.denominator for v in self.values]
+        lcm = math.lcm(*dens)
+        d = self.degree
+        weights = [
+            (v.numerator if (d - i) % 2 == 0 else -v.numerator)
+            * (lcm // den)
+            * binomial
+            * _product([abs(x - y) for y in free])
+            for i, (x, v, den, binomial) in enumerate(zip(self.nodes, self.values, dens, binomials))
+        ]
+        return weights, math.factorial(span) * lcm
 
     def evaluate(self, t) -> Fraction:
         """p(t) = sum_i v_i omega(t) / ((t - x_i) D_i) at a rational point,
-        exact; for sorted nodes sign(D_i) = (-1)^(d - i)."""
-        if not isinstance(t, int):
-            t = Fraction(t)
-        if t in self.nodes:
-            return Fraction(self.values[self.nodes.index(t)])
-        omega = _product([t - x for x in self.nodes])
-        d = self.degree
-        return sum(
-            (v if (d - i) % 2 == 0 else -v) * Fraction(omega, (t - x) * ad)
-            for i, (x, v, ad) in enumerate(zip(self.nodes, self.values, self._abs_d))
+        exact.  For t = p/q, omega(t) / (t - x_i) = (W / (p - q x_i)) / q^d
+        with W the product of the p - q x_j, so p(t) is one fraction over
+        L q^d, reduced once; for sorted nodes sign(D_i) = (-1)^(d - i)."""
+        t = Fraction(t)
+        shifted = [t.numerator - t.denominator * x for x in self.nodes]
+        if 0 in shifted:
+            return Fraction(self.values[shifted.index(0)])
+        omega = _product(shifted)
+        weights, denominator = self._weights
+        return Fraction(
+            sum(w * (omega // s) for w, s in zip(weights, shifted)),
+            denominator * t.denominator**self.degree,
         )
 
     def integer_values(self) -> list[Fraction]:
@@ -148,11 +176,6 @@ def _product(factors: list[int]) -> int:
             paired.append(factors[-1])
         factors = paired
     return factors[0] if factors else 1
-
-
-def _abs_denominators(xs: Sequence[int]) -> list[int]:
-    """|prod_{j != i} (x_i - x_j)| for each node, as exact integers."""
-    return [abs(_product([xi - xj for xj in xs if xj != xi])) for xi in xs]
 
 
 def _equilibrium_mass(t: np.ndarray, c: float) -> np.ndarray:

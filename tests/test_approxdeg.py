@@ -18,7 +18,6 @@ from bpmdual.approxdeg import (
     DegreeBoundReport,
     UnivariatePolynomial,
     _Exchange,
-    _abs_denominators,
     _check_witness,
     _enclose,
     _equilibrium_int_points,
@@ -26,6 +25,7 @@ from bpmdual.approxdeg import (
     _float_denominators,
     _log_sum,
     _min_feasible_degree,
+    _product,
     _search,
     _term_logs,
     and_feasibility_target,
@@ -54,6 +54,13 @@ def barycentric(nodes, values, t):
     ]
     omega = math.prod([t - x for x in nodes])
     return omega * sum(w / (t - x) for x, w in zip(nodes, weights))
+
+
+def _abs_denominators(xs):
+    """|prod_{j != i} (x_i - x_j)| for each node, as exact integers: the
+    reference for the weights of `UnivariatePolynomial` and for the
+    float denominators and term logs of the engine."""
+    return [abs(_product([xi - xj for xj in xs if xj != xi])) for xi in xs]
 
 
 def alternating_data(nodes):
@@ -443,8 +450,11 @@ class TestExactEvaluator:
 
     @staticmethod
     def check(poly):
+        # the grid, points between its integers, past m and below 0, and an
+        # unreduced fraction (a node when 3 is one)
         m = poly.m
-        for t in [*range(m + 1), Fraction(1, 3), Fraction(2 * m + 1, 2)]:
+        for t in [*range(m + 1), Fraction(1, 3), Fraction(2 * m + 1, 2), m + 3,
+                  -1, Fraction(-7, 2), Fraction(6, 2)]:
             assert poly.evaluate(t) == barycentric(poly.nodes, poly.values, t), (poly, t)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -469,6 +479,34 @@ class TestExactEvaluator:
         # values 0, ..., 0, 1 on every grid point: the degree-m witness
         values = (Fraction(0),) * m + (Fraction(1),)
         self.check(UnivariatePolynomial(m, tuple(range(m + 1)), values))
+
+    @pytest.mark.parametrize("m, nodes", [
+        (30, (5, 8, 9, 13, 20)),  # the span starts above 0 and ends before m
+        (9, (4,)),  # a single node: degree 0
+        (6, (1, 3, 4)),  # Fraction(6, 2) is the node 3
+        (12, (2, 3, 4, 5)),  # no free point in the span
+    ])
+    def test_values_with_different_denominators(self, m, nodes):
+        values = tuple(Fraction((-1) ** k * (k + 2), 2 * k + 3) for k in range(len(nodes)))
+        self.check(UnivariatePolynomial(m, nodes, values))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_weights_over_the_span_factorial(self, seed):
+        # w_i |D_i| = sign(D_i) n_i (V / den_i) s! and L = s! V, with
+        # s = x_d - x_0 the span of the nodes and V the lcm of den_i
+        rng = random.Random(200 + seed)
+        for size in [1, 2, 3, 5, 17, 100]:
+            start = rng.randrange(50)
+            nodes = tuple(sorted(rng.sample(range(start, start + 3 * size), size)))
+            values = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in nodes)
+            weights, denominator = UnivariatePolynomial(nodes[-1] + 5, nodes, values)._weights
+            lcm = math.lcm(*(v.denominator for v in values))
+            span_factorial = math.factorial(nodes[-1] - nodes[0])
+            assert denominator == span_factorial * lcm
+            d = size - 1
+            for i, (w, ad, v) in enumerate(zip(weights, _abs_denominators(nodes), values)):
+                sign = (-1) ** (d - i)
+                assert w * ad == sign * v.numerator * (lcm // v.denominator) * span_factorial
 
     def test_unsorted_nodes_rejected(self):
         # the sign rule of the evaluator holds for ascending nodes only
