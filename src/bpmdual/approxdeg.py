@@ -86,7 +86,7 @@ class UnivariatePolynomial:
         to the free points y of [x_0, x_d] are 1..x_i - x_0 and 1..x_d - x_i,
         so |D_i| prod_y |x_i - y| C(s, x_i - x_0) = s!.  For v_i = n_i/den_i
         and V = lcm(den_i), L = s! V and w_i = sign(D_i) n_i (V / den_i)
-        C(s, x_i - x_0) prod_y |x_i - y|: no gcd, no division of big integers."""
+        C(s, x_i - x_0) prod_y |x_i - y|: no gcd and no division by a big integer."""
         x0, span = self.nodes[0], self.nodes[-1] - self.nodes[0]
         nodes = set(self.nodes)
         free, binomials, c = [], [], 1

@@ -450,8 +450,8 @@ class TestExactEvaluator:
 
     @staticmethod
     def check(poly):
-        # the grid, points between its integers, past m and below 0, and an
-        # unreduced fraction (a node when 3 is one)
+        # the grid, points between its integers, past m and below 0, and
+        # Fraction(6, 2), which is 3 (a node when 3 is one)
         m = poly.m
         for t in [*range(m + 1), Fraction(1, 3), Fraction(2 * m + 1, 2), m + 3,
                   -1, Fraction(-7, 2), Fraction(6, 2)]:
