@@ -66,9 +66,11 @@ class Mutant:
 MUTANTS = [
     # --- approxdeg: the enclosure
     Mutant("zero-bound", "approxdeg.py",
-           "errs.append(coeff * np.abs(terms, out=terms).sum(axis=1) + underflow)",
-           "errs.append(0.0 * terms.sum(axis=1))",
+           "coeff * abs_total + underflow", "0.0 * abs_total",
            "the enclosure claims the float value is exact"),
+    Mutant("own-distance-offset-dropped", "approxdeg.py",
+           "dist[own, own + start] = 1.0", "dist[own, own] = 1.0",
+           "past the first block a node row keeps its own zero distance, so |D_i| reads 0"),
     Mutant("gamma-d-only", "approxdeg.py",
            "coeff = (_gamma(2 * d + 2) * (1 + _gamma(d)) + _gamma(d)) * (1 + 2.0**-20)",
            "coeff = _gamma(d) * (1 + 2.0**-20)",

@@ -46,7 +46,7 @@ DEFAULT_TOLERANCE = Fraction(1, 10**12)
 _EXCHANGE_MAX_ITER = 4000
 _LOG_MARGIN = 1e-9  # natural-log slack under which a swap asks the enclosure
 _MEMO_SIZE = 1024
-_BLOCK = 256  # grid points enclosed per vectorized block
+_BLOCK = 256  # rows of distances or terms per vectorized block
 _U = 2.0**-53  # unit roundoff of IEEE double
 
 
@@ -226,11 +226,11 @@ def _gamma(k: int) -> float:
 
 def _row_products(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row products of a 2-D array of integers in [1, 4096] whose width is
-    a multiple of four (`_ones_buffer`), as mantissa in [0.5, 1) times
-    2^exponent.  Groups of four multiply exactly (below 2^48), frexp splits
-    off exponents exactly, and mantissas multiply in chunks of 64, which
-    cannot underflow: a row of k factors other than the padding ones takes
-    at most k - 1 correctly rounded multiplications."""
+    a multiple of four (the workspace of `_distance_products`), as mantissa
+    in [0.5, 1) times 2^exponent.  Groups of four multiply exactly (below
+    2^48), frexp splits off exponents exactly, and mantissas multiply in
+    chunks of 64, which cannot underflow: a row of k factors other than the
+    padding ones takes at most k - 1 correctly rounded multiplications."""
     rows = len(a)
     a = a[:, 0::4] * a[:, 1::4] * a[:, 2::4] * a[:, 3::4]
     exp = np.zeros(rows, dtype=np.int64)
@@ -249,24 +249,22 @@ def _padded(a: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _ones_buffer(rows: int, width: int) -> np.ndarray:
-    """Ones with the width rounded up to a multiple of four: blocks written
-    into its leading columns are ready for `_row_products`."""
-    return np.ones((rows, -(-width // 4) * 4))
-
-
-def _float_denominators(xf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|D_i| = prod_{j != i} |x_i - x_j| as mantissa and exponent."""
-    buf = _ones_buffer(min(len(xf), _BLOCK), len(xf))
+def _distance_products(xf: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """prod_j |r - x_j| over the nodes xf for each row r of [xf; ys], as
+    mantissa and exponent.  A node's own distance counts as 1, so the node
+    rows give |D_i| and the point rows |omega(y)|.  Blocks of rows go
+    through one workspace whose padding columns stay ones."""
+    rows = np.concatenate([xf, ys])
+    work = np.ones((min(len(rows), _BLOCK), -(-len(xf) // 4) * 4))
     mants, exps = [], []
-    for start in range(0, len(xf), _BLOCK):
-        x = xf[start : start + _BLOCK]
-        block = buf[: len(x)]
+    for start in range(0, len(rows), _BLOCK):
+        r = rows[start : start + _BLOCK]
+        block = work[: len(r)]
         dist = block[:, : len(xf)]
-        np.subtract(x[:, None], xf[None, :], out=dist)
+        np.subtract(r[:, None], xf[None, :], out=dist)
         np.abs(dist, out=dist)
-        rows = np.arange(len(dist))
-        dist[rows, rows + start] = 1.0
+        own = np.arange(min(len(r), len(xf) - start))  # node rows of this block
+        dist[own, own + start] = 1.0
         mant, exp = _row_products(block)
         mants.append(mant)
         exps.append(exp)
@@ -276,7 +274,8 @@ def _float_denominators(xf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _enclose(xf: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Proven bounds (s, err, e): q(y) lies in [s - err, s + err] * 2^e for
     each y in ys off the sorted nodes xf, q the interpolant of alternating
-    data ending with +1; |D_i| = dm * 2^de comes from `_float_denominators`.
+    data ending with +1; |D_i| and |omega(y)| come from one pass of
+    `_distance_products`.
 
     Each term |t_i| = |omega(y)| / |y - x_i| / |D_i| takes d roundings for
     omega, d - 1 for |D_i|, one for 1/dm_i and two for the division and
@@ -291,26 +290,24 @@ def _enclose(xf: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     # exact one (a (1 - gamma)^-2 factor) and the rounding of `err` itself
     coeff = (_gamma(2 * d + 2) * (1 + _gamma(d)) + _gamma(d)) * (1 + 2.0**-20)
     underflow = (d + 1) * 2.0**-1073
-    dm, de = _float_denominators(xf)
+    mant, exp = _distance_products(xf, ys)
+    dm, de, wm, we = mant[: d + 1], exp[: d + 1], mant[d + 1 :], exp[d + 1 :]
     low = de.min()
     inv = np.ldexp(1.0 / dm, low - de)
-    buf = _ones_buffer(min(len(ys), _BLOCK), len(xf))
-    ss, errs, es = [], [], []
+    work = np.empty((min(len(ys), _BLOCK), d + 1))
+    total, abs_total = np.empty(len(ys)), np.empty(len(ys))
     for start in range(0, len(ys), _BLOCK):
-        y = ys[start : start + _BLOCK]
-        diff = y[:, None] - xf[None, :]
-        block = buf[: len(y)]
-        np.abs(diff, out=block[:, : len(xf)])
-        wm, we = _row_products(block)
-        terms = wm[:, None] / diff
+        stop = start + _BLOCK
+        y = ys[start:stop]
+        terms = work[: len(y)]
+        np.subtract(y[:, None], xf[None, :], out=terms)
+        np.divide(wm[start:stop, None], terms, out=terms)
         terms *= inv
-        total = terms.sum(axis=1)
-        # omega(y) changes sign once per node above y
-        above = len(xf) - np.searchsorted(xf, y)
-        ss.append(np.where(above % 2, -total, total))
-        errs.append(coeff * np.abs(terms, out=terms).sum(axis=1) + underflow)
-        es.append(we - low)
-    return np.concatenate(ss), np.concatenate(errs), np.concatenate(es)
+        terms.sum(axis=1, out=total[start:stop])
+        np.abs(terms, out=terms).sum(axis=1, out=abs_total[start:stop])
+    # omega(y) changes sign once per node above y
+    above = len(xf) - np.searchsorted(xf, ys)
+    return np.where(above % 2, -total, total), coeff * abs_total + underflow, we - low
 
 
 def _magnitude_bounds(s: np.ndarray, err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -120,7 +120,10 @@ class DualPolynomial:
     def from_json(cls, text: str) -> "DualPolynomial":
         """Parse a `to_json` dump; any other shape, a repeated edge within a
         term, or a repeated term raises ValueError."""
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
         if not (isinstance(data, dict) and _is_int(data.get("n")) and 1 <= data["n"] <= N_MAX
                 and isinstance(data.get("terms"), list)):
             raise ValueError(f'expected {{"n": 1..{N_MAX}, "terms": [...]}}')

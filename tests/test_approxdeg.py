@@ -19,10 +19,10 @@ from bpmdual.approxdeg import (
     UnivariatePolynomial,
     _Exchange,
     _check_witness,
+    _distance_products,
     _enclose,
     _equilibrium_int_points,
     _equilibrium_mass,
-    _float_denominators,
     _log_sum,
     _min_feasible_degree,
     _product,
@@ -371,9 +371,9 @@ class TestExchangeBookkeeping:
         monkeypatch.setattr(approxdeg, "_LOG_MARGIN", 1e3)
         engine = exchange_to_optimum(64, 10)
         calls = []
-        float_denominators = approxdeg._float_denominators
-        monkeypatch.setattr(approxdeg, "_float_denominators",
-                            lambda xf: calls.append(1) or float_denominators(xf))
+        distance_products = approxdeg._distance_products
+        monkeypatch.setattr(approxdeg, "_distance_products",
+                            lambda xf, ys: calls.append(1) or distance_products(xf, ys))
         for y in sorted(set(range(64)) - set(engine.xs)):
             for s in (1, -1):
                 assert not engine.swap_toward(y, s)
@@ -381,9 +381,9 @@ class TestExchangeBookkeeping:
 
     def test_denominators_built_by_scans_not_clear_swaps(self, monkeypatch):
         calls = []
-        float_denominators = approxdeg._float_denominators
-        monkeypatch.setattr(approxdeg, "_float_denominators",
-                            lambda xf: calls.append(1) or float_denominators(xf))
+        distance_products = approxdeg._distance_products
+        monkeypatch.setattr(approxdeg, "_distance_products",
+                            lambda xf, ys: calls.append(1) or distance_products(xf, ys))
         engine = _Exchange(64, range(0, 64, 6))  # equispaced: q overshoots
         assert not calls  # the term logs do not read the enclosure
         violations = engine.find_violations(Fraction(2)).violations
@@ -403,10 +403,10 @@ class TestExchangeBookkeeping:
         # n = 32 at eps = 1/3 estimates several seeds, probes, and swaps,
         # and every one of its scans faces no near tie
         calls, scans = [], []
-        float_denominators = approxdeg._float_denominators
+        distance_products = approxdeg._distance_products
         find_violations = _Exchange.find_violations
-        monkeypatch.setattr(approxdeg, "_float_denominators",
-                            lambda xf: calls.append(1) or float_denominators(xf))
+        monkeypatch.setattr(approxdeg, "_distance_products",
+                            lambda xf, ys: calls.append(1) or distance_products(xf, ys))
         monkeypatch.setattr(_Exchange, "find_violations",
                             lambda self, target: scans.append(1) or find_violations(self, target))
         assert _search(32 * 32, and_feasibility_target(epsilon_prime(32, THIRD)))[0] == 715
@@ -573,35 +573,46 @@ class TestEnclosure:
             assert lo <= Fraction(b_lo) / Fraction(2) ** k
             assert Fraction(b_hi) / Fraction(2) ** k <= hi, y
 
-    def test_denominators_match_fresh_padded_copies_at_4096(self):
-        # |D_i| built block by block into one reused ones-padded buffer has
-        # the bits of the same products formed on a fresh padded copy of
-        # each block: 2213 nodes leave a ragged column group and a short
-        # last block
+    def test_distance_products_match_fresh_padded_copies_at_4096(self):
+        # one pass over the rows [nodes; free points; m] through one reused
+        # workspace has the bits of |D_i| and |omega(y)| each formed on a
+        # fresh padded copy of its own blocks: 2213 nodes leave a ragged
+        # column group, and the block at row 2048 holds the last 165 node
+        # rows and the first 91 point rows
         def padded(a, k):
             out = np.ones((len(a), -(-a.shape[1] // k) * k))
             out[:, : a.shape[1]] = a
             return out
 
+        def products(rows, own):
+            mants, exps = [], []
+            for start in range(0, len(rows), 256):
+                dist = np.abs(rows[start : start + 256, None] - xf[None, :])
+                if own:
+                    dist[np.arange(len(dist)), np.arange(len(dist)) + start] = 1.0
+                a = padded(dist, 4)
+                a = a[:, 0::4] * a[:, 1::4] * a[:, 2::4] * a[:, 3::4]
+                exp = np.zeros(len(a), dtype=np.int64)
+                while True:
+                    a, e = np.frexp(a)
+                    exp += e.sum(axis=1)
+                    if a.shape[1] == 1:
+                        break
+                    a = padded(a, 64).reshape(len(a), -1, 64).prod(axis=2)
+                mants.append(a[:, 0])
+                exps.append(exp)
+            return np.concatenate(mants), np.concatenate(exps)
+
         xf = np.array(_chebyshev_int_points(4095, 2213), dtype=np.float64)
-        mants, exps = [], []
-        for start in range(0, len(xf), 256):
-            dist = np.abs(xf[start : start + 256, None] - xf[None, :])
-            dist[np.arange(len(dist)), np.arange(len(dist)) + start] = 1.0
-            a = padded(dist, 4)
-            a = a[:, 0::4] * a[:, 1::4] * a[:, 2::4] * a[:, 3::4]
-            exp = np.zeros(len(a), dtype=np.int64)
-            while True:
-                a, e = np.frexp(a)
-                exp += e.sum(axis=1)
-                if a.shape[1] == 1:
-                    break
-                a = padded(a, 64).reshape(len(a), -1, 64).prod(axis=2)
-            mants.append(a[:, 0])
-            exps.append(exp)
-        dm, de = _float_denominators(xf)
-        assert dm.tobytes() == np.concatenate(mants).tobytes()
-        assert de.tobytes() == np.concatenate(exps).tobytes()
+        ys = np.append(np.setdiff1d(np.arange(4096.0), xf), 4096.0)
+        assert 2048 < len(xf) < 2048 + 256 < len(xf) + len(ys)
+        mant, exp = _distance_products(xf, ys)
+        for half, (ref_mant, ref_exp) in [
+            (slice(None, len(xf)), products(xf, own=True)),
+            (slice(len(xf), None), products(ys, own=False)),
+        ]:
+            assert mant[half].tobytes() == ref_mant.tobytes()
+            assert exp[half].tobytes() == ref_exp.tobytes()
 
     def test_tie_at_4096_settled_exactly(self, monkeypatch):
         # |q(2048)| = 1 exactly on this seed, so no float bound decides it

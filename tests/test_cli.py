@@ -347,6 +347,7 @@ class TestEval:
             '{"n": 0, "terms": []}',
             '{"n": 2, "terms": [{"coeff": "1", "edges": [[3, 1]]}]}',
             '{"n": 2, "terms": [',
+            pytest.param('{"n":2,"terms":' + "[" * 100_000, id="nested-100000"),
         ],
     )
     def test_malformed_json_exits_2(self, tmp_path, k22, capsys, text):
